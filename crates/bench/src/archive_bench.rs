@@ -8,11 +8,22 @@
 //! cost of the footer index (p50/p99 slice-fetch latency over seeded
 //! random (timestep, level) picks at 100+ timesteps).
 //!
-//! The results serialize to an `archive` JSON section and append to an
-//! existing `BENCH.json` document, bumping the schema additively to
-//! `cc-bench-throughput/8` — the same artifact plumbing `serve_bench`,
-//! `tune`, and `evalbench` use. The merged document is re-validated
-//! before being returned.
+//! The results are the `archive` section of `BENCH.json` (see
+//! [`crate::artifact`]):
+//!
+//! ```json
+//! "archive": {
+//!   "preset": "default", "timesteps": 120, "keyframe_every": 16, "fetches": 200,
+//!   "variables": [
+//!     {"name": "U", "codec": "SZ-rel-1e-4", "frames": 120, "raw_bytes": N,
+//!      "archive_bytes": N, "per_timestep_bytes": N, "archive_cr": X,
+//!      "per_timestep_cr": X, "slice_p50_us": N, "slice_p99_us": N}, ...
+//!   ]
+//! }
+//! ```
+//!
+//! `bench-check --against` gates each variable's archive CR and slice
+//! p99 as smaller-is-better ([`gated`]).
 
 use cc_archive::{ArchiveOptions, ArchiveReader, ArchiveWriter};
 use cc_codecs::chunked::compress_chunked;
@@ -188,8 +199,8 @@ impl ArchiveBenchArtifact {
                      \"raw_bytes\": {}, \"archive_bytes\": {}, \"per_timestep_bytes\": {}, \
                      \"archive_cr\": {:.6}, \"per_timestep_cr\": {:.6}, \
                      \"slice_p50_us\": {}, \"slice_p99_us\": {}}}",
-                    v.name,
-                    v.codec,
+                    json::escape(&v.name),
+                    json::escape(&v.codec),
                     v.frames,
                     v.raw_bytes,
                     v.archive_bytes,
@@ -204,7 +215,7 @@ impl ArchiveBenchArtifact {
         let text = format!(
             "{{\"preset\": \"{}\", \"timesteps\": {}, \"keyframe_every\": {}, \
              \"fetches\": {}, \"variables\": [{}]}}",
-            self.config.preset,
+            json::escape(&self.config.preset),
             self.config.timesteps,
             self.config.keyframe_every,
             self.config.fetches,
@@ -212,23 +223,73 @@ impl ArchiveBenchArtifact {
         );
         json::parse(&text).expect("archive section serializes to valid JSON")
     }
+}
 
-    /// Merge this artifact into an existing `BENCH.json` document: set
-    /// the `archive` section and bump the schema to
-    /// `cc-bench-throughput/8` (earlier sections — serve, tune, eval —
-    /// ride along unchanged). Returns the re-validated document.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        if doc.get("schema").and_then(Value::as_str).is_none() {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        }
-        doc.set("schema", Value::Str("cc-bench-throughput/8".into()));
-        doc.set("archive", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
+/// Check an `archive` section, pushing every violation onto `errs`. The
+/// archive must actually exploit temporal correlation — its CR (smaller
+/// is better) must match or beat the per-timestep CR for every variable.
+pub(crate) fn validate(archive: &Value, errs: &mut Vec<String>) {
+    if archive.get("preset").and_then(Value::as_str).is_none() {
+        errs.push("archive.preset missing".into());
     }
+    let num = |key: &str| archive.get(key).and_then(Value::as_f64);
+    if num("timesteps").map(|v| v >= 2.0) != Some(true) {
+        errs.push("archive.timesteps must be >= 2".into());
+    }
+    for key in ["keyframe_every", "fetches"] {
+        if num(key).map(|v| v >= 1.0) != Some(true) {
+            errs.push(format!("archive.{key} must be >= 1"));
+        }
+    }
+    let vars = archive.get("variables").and_then(Value::as_array).unwrap_or_default();
+    if vars.is_empty() {
+        errs.push("archive.variables must be a non-empty array".into());
+    }
+    for (i, v) in vars.iter().enumerate() {
+        let vnum = |key: &str| v.get(key).and_then(Value::as_f64);
+        if v.get("name").and_then(Value::as_str).is_none()
+            || v.get("codec").and_then(Value::as_str).is_none()
+        {
+            errs.push(format!("archive.variables[{i}]: name/codec must be strings"));
+        }
+        for key in ["frames", "raw_bytes", "archive_bytes", "per_timestep_bytes"] {
+            if vnum(key).map(|b| b >= 1.0) != Some(true) {
+                errs.push(format!("archive.variables[{i}]: {key} must be >= 1"));
+            }
+        }
+        match (vnum("archive_cr"), vnum("per_timestep_cr")) {
+            (Some(acr), Some(pcr)) if acr > 0.0 && pcr > 0.0 => {
+                if acr > pcr + 1e-9 {
+                    errs.push(format!(
+                        "archive.variables[{i}]: archive CR {acr} worse than per-timestep {pcr}"
+                    ));
+                }
+            }
+            _ => errs.push(format!(
+                "archive.variables[{i}]: archive_cr/per_timestep_cr must be positive"
+            )),
+        }
+        match (vnum("slice_p50_us"), vnum("slice_p99_us")) {
+            (Some(p50), Some(p99)) if p50 >= 0.0 && p99 >= p50 => {}
+            _ => errs.push(format!("archive.variables[{i}]: need slice_p50_us <= slice_p99_us")),
+        }
+    }
+}
+
+/// The gated metrics of an `archive` section: each variable's archive CR
+/// and slice p99 latency (smaller is better).
+pub(crate) fn gated(archive: &Value) -> Result<Vec<(String, f64)>, String> {
+    let vars = archive.get("variables").and_then(Value::as_array).ok_or("variables missing")?;
+    let mut out = Vec::new();
+    for v in vars {
+        let name = v.get("name").and_then(Value::as_str).ok_or("variable name missing")?;
+        for (label, key) in [("archive CR", "archive_cr"), ("slice p99 µs", "slice_p99_us")] {
+            let value =
+                v.get(key).and_then(Value::as_f64).ok_or_else(|| format!("{name}: {key} missing"))?;
+            out.push((format!("{name} {label}"), value));
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -263,34 +324,23 @@ mod tests {
     }
 
     #[test]
-    fn archive_section_merges_into_bench_as_v8() {
-        let artifact = run(&tiny_config(), &mut |_| {});
-        let base = crate::throughput::run(
-            &crate::throughput::BenchConfig {
-                npts: 2_048,
-                nlev: 1,
-                worker_counts: vec![1, 2],
-                reps: 1,
-                preset: "quick".into(),
-            },
-            &mut |_| {},
-        );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
-        crate::throughput::validate(&merged).expect("merged document is /8-valid");
-        let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/8")
-        );
-        let vars = doc
-            .get("archive")
-            .and_then(|a| a.get("variables"))
-            .and_then(Value::as_array)
-            .expect("archive.variables");
-        assert_eq!(vars.len(), 1);
-        assert_eq!(vars[0].get("name").and_then(Value::as_str), Some("U"));
-
-        // A schema-less document refuses the merge.
-        assert!(artifact.merge_into_bench("{}").is_err());
+    fn names_are_escaped_into_the_section() {
+        let mut artifact = ArchiveBenchArtifact { config: tiny_config(), variables: Vec::new() };
+        artifact.variables.push(ArchiveVarBench {
+            name: "a\"b".into(),
+            codec: "c\\d".into(),
+            frames: 2,
+            raw_bytes: 8,
+            archive_bytes: 4,
+            per_timestep_bytes: 6,
+            archive_cr: 0.5,
+            per_timestep_cr: 0.75,
+            slice_p50_us: 1,
+            slice_p99_us: 2,
+        });
+        let section = artifact.to_value();
+        let var = &section.get("variables").and_then(Value::as_array).expect("variables")[0];
+        assert_eq!(var.get("name").and_then(Value::as_str), Some("a\"b"));
+        assert_eq!(var.get("codec").and_then(Value::as_str), Some("c\\d"));
     }
 }

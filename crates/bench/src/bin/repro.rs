@@ -14,7 +14,7 @@
 //!              --members N  --ne N  --nlev N  --seed S  --out DIR
 //!              --workers N  (override the worker-pool width)
 //!              --bench-out FILE  (BENCH.json path, default repo root)
-//!              --against FILE    (bench-check: compare throughput vs baseline)
+//!              --against FILE    (bench-check: compare gated metrics vs baseline)
 //!              --tolerance X     (allowed fractional slowdown, default 0.25)
 //!              --trace FILE  (record spans+metrics, write TRACE.json)
 //!              --profile FILE  (write flamegraph-ready folded stacks)
@@ -25,37 +25,36 @@
 //! `run` is an optional no-op token, so the documented invocation
 //! `repro run table6 --trace trace.json` works verbatim.
 //!
-//! `bench` runs the chunked-codec throughput sweep and writes the
-//! schema'd `BENCH.json` (validated before the process exits);
+//! The five benchmark experiments each write one section of the
+//! `cc-bench/1` document at `--bench-out` (default `BENCH.json`),
+//! creating the file when it is missing and leaving every other section
+//! as it was (see `cc_bench::artifact`):
+//! `bench` runs the chunked-codec throughput sweep (`throughput`);
 //! `serve-bench` drives a loopback `cc-serve` daemon with swept counts
-//! of concurrent pipelined clients and appends a `serve` section
-//! (req/s, p50/p99/p999 latency from the server's own histograms —
-//! overall and split per opcode — busy rate per client count) to that
-//! document, bumping its schema additively to `cc-bench-throughput/6`;
-//! `tune` runs the per-variable auto-tuner — the generalized
-//! enumerate-filter-minimize search over the (family × parameter)
-//! candidate space — over the focus variables, writes a reproducible
-//! table artifact, and appends a `tune` section to that document,
-//! bumping the schema additively to `cc-bench-throughput/5`;
-//! `eval-bench` runs the same sweep through the pipelined verification
-//! engine with span recording on and appends an `eval` section (member
-//! synthesis and verdict rates, per-variable tune wall, per-stage
-//! self-time profile), bumping the schema to `cc-bench-throughput/7`;
-//! `eval-check` re-runs the sweep at worker counts 1 and 4 and exits
-//! non-zero unless the tune reports are byte-identical;
-//! `archive-bench` archives a correlated model run per focus variable
-//! (`cc-arch/1` keyframes + bounded delta frames) and appends an
-//! `archive` section (archive CR vs per-timestep CR, random-slice
-//! p50/p99 fetch latency), bumping the schema to `cc-bench-throughput/8`;
-//! `bench-check FILE` re-validates an existing artifact and exits
+//! of concurrent pipelined clients (`serve`: req/s, p50/p99/p999 latency
+//! from the server's own histograms — overall and split per opcode —
+//! busy rate per client count); `tune` runs the per-variable auto-tuner
+//! — the generalized enumerate-filter-minimize search over the (family ×
+//! parameter) candidate space — over the focus variables and also writes
+//! a reproducible table artifact (`tune`); `eval-bench` runs the same
+//! sweep through the pipelined verification engine with span recording
+//! on (`eval`: member synthesis and verdict rates, per-variable tune
+//! wall, per-stage self-time profile); `archive-bench` archives a
+//! correlated model run per focus variable (`cc-arch/1` keyframes +
+//! bounded delta frames) and measures archive CR vs per-timestep CR and
+//! random-slice p50/p99 fetch latency (`archive`).
+//! `eval-check` re-runs the tuning sweep at worker counts 1 and 4 and
+//! exits non-zero unless the tune reports are byte-identical.
+//! `bench-check FILE` re-validates an existing document and exits
 //! non-zero if it does not satisfy the schema — with `--against
-//! BASELINE.json` it additionally compares single-worker throughput per
-//! codec (and, when both documents carry an `eval` section, the
-//! verification-engine rates; when both carry an `archive` section, the
-//! archive CRs and slice p99 latency, which are smaller-is-better and
-//! gated at the mirror-image tolerance) and fails when any metric falls
-//! beyond `(1 - tolerance)` of the baseline. `trace-check [FILE]` does
-//! the same for a `TRACE.json` artifact (default `TRACE.json`).
+//! BASELINE.json` it additionally applies each section's compare rule
+//! to the sections both documents carry (codec encode/decode MB/s at
+//! workers=1 and the eval rates must reach `(1 - tolerance)` of the
+//! baseline; archive CR and slice p99 are smaller-is-better and gated at
+//! the mirror-image tolerance) and fails when any metric regresses or
+//! the documents share no gated section.
+//! `trace-check [FILE]` does the same for a `TRACE.json` artifact
+//! (default `TRACE.json`).
 //!
 //! `scorecard` re-reads the CSV artifacts of earlier experiments and
 //! machine-checks the paper's shape claims (exits non-zero on a required
@@ -175,17 +174,29 @@ fn check_trace(path: &std::path::Path) {
     }
 }
 
-/// Options for the `bench` / `bench-check` experiments.
+/// Options for the benchmark experiments and `bench-check`.
 struct BenchOpts {
-    /// Artifact path (`BENCH.json` at the repo root by default).
+    /// Document path (`BENCH.json` at the repo root by default).
     path: std::path::PathBuf,
     /// Use the smoke-scale sweep.
     quick: bool,
-    /// `--against FILE`: baseline document for a throughput comparison.
+    /// `--against FILE`: baseline document for a gated comparison.
     against: Option<std::path::PathBuf>,
-    /// `--tolerance X`: allowed fractional slowdown vs the baseline
+    /// `--tolerance X`: allowed fractional regression vs the baseline
     /// (0.25 = rates may drop to 75% of baseline before failing).
     tolerance: f64,
+}
+
+/// Write one section of the `BENCH.json` at `opts.path`, or exit 1 with
+/// the violations that stopped it.
+fn write_section(opts: &BenchOpts, name: &str, value: cc_obs::json::Value) {
+    if let Err(errs) = cc_bench::artifact::upsert_section(&opts.path, name, value) {
+        eprintln!("cannot write the {name} section of {}:", opts.path.display());
+        for e in errs {
+            eprintln!("  - {e}");
+        }
+        std::process::exit(1);
+    }
 }
 
 fn run_bench(opts: &BenchOpts) {
@@ -195,15 +206,7 @@ fn run_bench(opts: &BenchOpts) {
         cc_bench::throughput::BenchConfig::default_scale()
     };
     let report = cc_bench::throughput::run(&config, &mut |line| progress!("    {line}"));
-    let json = report.to_json();
-    if let Err(errs) = cc_bench::throughput::validate(&json) {
-        eprintln!("generated BENCH.json violates its own schema:");
-        for e in errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
-    std::fs::write(&opts.path, &json).expect("write BENCH.json");
+    write_section(opts, "throughput", report.to_value());
     for c in &report.codecs {
         let enc = c.encode.last().expect("timings");
         let dec = c.decode.last().expect("timings");
@@ -218,7 +221,7 @@ fn run_bench(opts: &BenchOpts) {
         );
     }
     println!(
-        "wrote {} ({} chunks, workers {:?}, max encode speedup x{:.2})",
+        "wrote the throughput section of {} ({} chunks, workers {:?}, max encode speedup x{:.2})",
         opts.path.display(),
         report.chunks,
         report.config.worker_counts,
@@ -226,29 +229,15 @@ fn run_bench(opts: &BenchOpts) {
     );
 }
 
-/// `serve-bench`: loopback daemon throughput, appended to `BENCH.json`.
+/// `serve-bench`: loopback daemon throughput, the `serve` section.
 fn run_serve_bench(opts: &BenchOpts) {
     let config = if opts.quick {
         cc_bench::serve_bench::ServeBenchConfig::quick()
     } else {
         cc_bench::serve_bench::ServeBenchConfig::default_scale()
     };
-    let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-        eprintln!(
-            "cannot read {}: {e}\nserve-bench appends to an existing artifact — run `repro bench` first",
-            opts.path.display()
-        );
-        std::process::exit(1);
-    });
     let report = cc_bench::serve_bench::run(&config, &mut |line| progress!("    {line}"));
-    let merged = report.merge_into_bench(&base).unwrap_or_else(|errs| {
-        eprintln!("cannot append serve section to {}:", opts.path.display());
-        for e in errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    });
-    std::fs::write(&opts.path, &merged).expect("write BENCH.json");
+    write_section(opts, "serve", report.to_value());
     for r in &report.runs {
         println!(
             "serve workers={:<2} clients={:<4} {:>8.0} req/s  p50 {:>6}us  p99 {:>6}us  p999 {:>6}us  busy rate {:.3}",
@@ -262,7 +251,7 @@ fn run_serve_bench(opts: &BenchOpts) {
         }
     }
     println!(
-        "appended serve section to {} (shards {}, clients {:?} x {} requests, schema cc-bench-throughput/6)",
+        "wrote the serve section of {} (shards {}, clients {:?} x {} requests)",
         opts.path.display(),
         config.shards,
         config.client_counts,
@@ -271,30 +260,15 @@ fn run_serve_bench(opts: &BenchOpts) {
 }
 
 /// `archive-bench`: temporal-archive CR vs the per-timestep workflow
-/// plus random-slice latency, appended to `BENCH.json` as the
-/// `archive` section (schema bumps to `cc-bench-throughput/8`).
+/// plus random-slice latency, the `archive` section.
 fn run_archive_bench(opts: &BenchOpts) {
     let config = if opts.quick {
         cc_bench::archive_bench::ArchiveBenchConfig::quick()
     } else {
         cc_bench::archive_bench::ArchiveBenchConfig::default_scale()
     };
-    let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-        eprintln!(
-            "cannot read {}: {e}\narchive-bench appends to an existing artifact — run `repro bench` first",
-            opts.path.display()
-        );
-        std::process::exit(1);
-    });
     let artifact = cc_bench::archive_bench::run(&config, &mut |line| progress!("    {line}"));
-    let merged = artifact.merge_into_bench(&base).unwrap_or_else(|errs| {
-        eprintln!("cannot append archive section to {}:", opts.path.display());
-        for e in errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    });
-    std::fs::write(&opts.path, &merged).expect("write BENCH.json");
+    write_section(opts, "archive", artifact.to_value());
     for v in &artifact.variables {
         println!(
             "{:8} {:>4} frames  archive CR {:.4}  per-timestep CR {:.4}  slice p50 {:>5}us  p99 {:>5}us",
@@ -302,7 +276,7 @@ fn run_archive_bench(opts: &BenchOpts) {
         );
     }
     println!(
-        "appended archive section to {} ({} variables, {} timesteps, keyframe every {}, schema cc-bench-throughput/8)",
+        "wrote the archive section of {} ({} variables, {} timesteps, keyframe every {})",
         opts.path.display(),
         artifact.variables.len(),
         config.timesteps,
@@ -315,8 +289,10 @@ fn check_bench(opts: &BenchOpts) {
         eprintln!("cannot read {}: {e}", opts.path.display());
         std::process::exit(1);
     });
-    match cc_bench::throughput::validate(&text) {
-        Ok(()) => println!("{}: valid cc-bench-throughput artifact", opts.path.display()),
+    match cc_bench::artifact::validate(&text) {
+        Ok(()) => {
+            println!("{}: valid {} document", opts.path.display(), cc_bench::artifact::SCHEMA)
+        }
         Err(errs) => {
             eprintln!("{}: schema violations:", opts.path.display());
             for e in errs {
@@ -325,52 +301,23 @@ fn check_bench(opts: &BenchOpts) {
             std::process::exit(1);
         }
     }
-    if let Some(baseline_path) = &opts.against {
-        let baseline = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
+    let Some(baseline_path) = &opts.against else {
+        return;
+    };
+    let baseline = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
+        eprintln!("cannot read baseline {}: {e}", baseline_path.display());
+        std::process::exit(1);
+    });
+    let rows =
+        cc_bench::artifact::compare(&text, &baseline, opts.tolerance).unwrap_or_else(|e| {
+            eprintln!("cannot compare against {}: {e}", baseline_path.display());
             std::process::exit(1);
         });
-        let rows = cc_bench::throughput::compare(&text, &baseline, opts.tolerance)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot compare against {}: {e}", baseline_path.display());
-                std::process::exit(1);
-            });
-        let (table, fails) = cc_bench::throughput::render_compare(&rows, opts.tolerance);
-        println!(
-            "throughput vs baseline {} (workers=1):\n{table}",
-            baseline_path.display()
-        );
-        if fails > 0 {
-            eprintln!("{fails} codec(s) regressed beyond tolerance");
-            std::process::exit(1);
-        }
-        // Verification-engine rates gate too, when both documents carry
-        // an eval section (appended by `repro eval-bench`).
-        if let Some(rows) =
-            cc_bench::throughput::compare_eval(&text, &baseline, opts.tolerance)
-        {
-            let (table, fails) = cc_bench::throughput::render_eval_compare(&rows);
-            println!("eval rates vs baseline:\n{table}");
-            if fails > 0 {
-                eprintln!("{fails} eval rate(s) regressed beyond tolerance");
-                std::process::exit(1);
-            }
-        }
-        // Archive CR and slice latency gate too, when both documents
-        // carry an archive section (appended by `repro archive-bench`).
-        // Both metrics are smaller-is-better, so the tolerance applies
-        // mirrored: current may exceed baseline by at most the same
-        // fraction the throughput floor allows rates to drop.
-        if let Some(rows) =
-            cc_bench::throughput::compare_archive(&text, &baseline, opts.tolerance)
-        {
-            let (table, fails) = cc_bench::throughput::render_archive_compare(&rows);
-            println!("archive metrics vs baseline:\n{table}");
-            if fails > 0 {
-                eprintln!("{fails} archive metric(s) regressed beyond tolerance");
-                std::process::exit(1);
-            }
-        }
+    let (table, fails) = cc_bench::artifact::render_compare(&rows, opts.tolerance);
+    println!("gated metrics vs baseline {}:\n{table}", baseline_path.display());
+    if fails > 0 {
+        eprintln!("{fails} metric(s) regressed beyond tolerance");
+        std::process::exit(1);
     }
 }
 
@@ -1063,8 +1010,8 @@ impl Runner {
     }
 
     /// `tune`: the generalized auto-tuner over the focus variables,
-    /// emitted as a table artifact and appended to `BENCH.json` as the
-    /// `/5` `tune` section.
+    /// emitted as a table artifact and as the `tune` section of
+    /// `BENCH.json`.
     fn tune(&mut self, opts: &BenchOpts) {
         let preset = if opts.quick { "quick" } else { "default" };
         let report = {
@@ -1091,31 +1038,14 @@ impl Runner {
             eprintln!("tuner invariant violated (failing choice or CR worse than hybrid)");
             std::process::exit(1);
         }
-        let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read {}: {e}\ntune appends to an existing artifact — run `repro bench` first",
-                opts.path.display()
-            );
-            std::process::exit(1);
-        });
         let nvars = report.variables.len();
         let artifact = cc_bench::tune::TuneArtifact { preset: preset.into(), report };
-        let merged = artifact.merge_into_bench(&base).unwrap_or_else(|errs| {
-            eprintln!("cannot append tune section to {}:", opts.path.display());
-            for e in errs {
-                eprintln!("  - {e}");
-            }
-            std::process::exit(1);
-        });
-        std::fs::write(&opts.path, &merged).expect("write BENCH.json");
-        println!(
-            "appended tune section to {} ({nvars} variables, schema cc-bench-throughput/5)",
-            opts.path.display()
-        );
+        write_section(opts, "tune", artifact.to_value());
+        println!("wrote the tune section of {} ({nvars} variables)", opts.path.display());
     }
 
     /// `eval-bench`: verification-engine throughput over the focus
-    /// variables, appended to `BENCH.json` as the `/7` `eval` section.
+    /// variables, the `eval` section of `BENCH.json`.
     fn eval_bench(&mut self, opts: &BenchOpts) {
         let preset = if opts.quick { "quick" } else { "default" };
         let artifact = {
@@ -1149,23 +1079,9 @@ impl Runner {
         for s in artifact.stages.iter().take(8) {
             println!("      {:24} {:>7} calls  {:>10.1} ms self", s.name, s.calls, s.self_ms);
         }
-        let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read {}: {e}\neval-bench appends to an existing artifact — run `repro bench` first",
-                opts.path.display()
-            );
-            std::process::exit(1);
-        });
-        let merged = artifact.merge_into_bench(&base).unwrap_or_else(|errs| {
-            eprintln!("cannot append eval section to {}:", opts.path.display());
-            for e in errs {
-                eprintln!("  - {e}");
-            }
-            std::process::exit(1);
-        });
-        std::fs::write(&opts.path, &merged).expect("write BENCH.json");
+        write_section(opts, "eval", artifact.to_value());
         println!(
-            "appended eval section to {} ({} variables, schema cc-bench-throughput/7)",
+            "wrote the eval section of {} ({} variables)",
             opts.path.display(),
             artifact.variables.len()
         );

@@ -4,15 +4,21 @@
 //! driver (`Evaluation::map_contexts` + the batched candidate sweep)
 //! with span recording forced on, and distills the trace into an `eval`
 //! JSON section: member-synthesis and verdict rates, per-variable tune
-//! wall time, and the per-stage self-time profile. Appending the section
-//! to an existing `BENCH.json` bumps the schema additively to
-//! `cc-bench-throughput/7`; serve and tune sections of either shape ride
-//! along unchanged. The merged document is re-validated before being
-//! returned.
+//! wall time, and the per-stage self-time profile — the `eval` section
+//! of `BENCH.json` (see [`crate::artifact`]):
+//!
+//! ```json
+//! "eval": {
+//!   "preset": "default", "workers": N, "members": N,
+//!   "synth_members_per_s": X, "verdicts_per_s": X, "tune_wall_s": X,
+//!   "variables": [{"name": "U", "tune_wall_s": X}, ...],
+//!   "stages": [{"name": "eval.member_synth", "calls": N, "self_ms": X}, ...]
+//! }
+//! ```
 //!
 //! Unlike the `tune` section, the rates here are wall-clock measurements
 //! and vary run to run — `bench-check --against` holds them to the same
-//! tolerance floor as the codec throughput comparison.
+//! tolerance floor as the codec throughput comparison ([`gated`]).
 
 use cc_core::evaluation::Evaluation;
 use cc_core::tuning::{tune_variable, TuneReport};
@@ -139,8 +145,8 @@ impl EvalArtifact {
             .iter()
             .map(|v| {
                 format!(
-                    "{{\"name\": {}, \"tune_wall_s\": {:.6}}}",
-                    json_str(&v.name),
+                    "{{\"name\": \"{}\", \"tune_wall_s\": {:.6}}}",
+                    json::escape(&v.name),
                     v.tune_wall_s
                 )
             })
@@ -150,18 +156,18 @@ impl EvalArtifact {
             .iter()
             .map(|s| {
                 format!(
-                    "{{\"name\": {}, \"calls\": {}, \"self_ms\": {:.3}}}",
-                    json_str(&s.name),
+                    "{{\"name\": \"{}\", \"calls\": {}, \"self_ms\": {:.3}}}",
+                    json::escape(&s.name),
                     s.calls,
                     s.self_ms
                 )
             })
             .collect();
         let text = format!(
-            "{{\"preset\": {}, \"workers\": {}, \"members\": {}, \
+            "{{\"preset\": \"{}\", \"workers\": {}, \"members\": {}, \
              \"synth_members_per_s\": {:.3}, \"verdicts_per_s\": {:.3}, \
              \"tune_wall_s\": {:.6}, \"variables\": [{}], \"stages\": [{}]}}",
-            json_str(&self.preset),
+            json::escape(&self.preset),
             self.workers,
             self.members,
             self.synth_members_per_s,
@@ -172,43 +178,61 @@ impl EvalArtifact {
         );
         json::parse(&text).expect("eval section serializes to valid JSON")
     }
+}
 
-    /// Merge the section into an existing `BENCH.json` document: set the
-    /// `eval` section and bump the schema additively to
-    /// `cc-bench-throughput/7` (serve and tune sections ride along; the
-    /// `/7` validator accepts either serve shape). Returns the
-    /// re-validated document.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        let Some(schema) = doc.get("schema").and_then(Value::as_str) else {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        };
-        if schema != "cc-bench-throughput/8" {
-            doc.set("schema", Value::Str("cc-bench-throughput/7".into()));
+/// Check an `eval` section, pushing every violation onto `errs`.
+pub(crate) fn validate(eval: &Value, errs: &mut Vec<String>) {
+    if eval.get("preset").and_then(Value::as_str).is_none() {
+        errs.push("eval.preset missing".into());
+    }
+    let num = |key: &str| eval.get(key).and_then(Value::as_f64);
+    for key in ["workers", "members"] {
+        if num(key).map(|v| v >= 1.0) != Some(true) {
+            errs.push(format!("eval.{key} must be >= 1"));
         }
-        doc.set("eval", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
+    }
+    for key in ["synth_members_per_s", "verdicts_per_s", "tune_wall_s"] {
+        if num(key).map(|v| v > 0.0) != Some(true) {
+            errs.push(format!("eval.{key} must be positive"));
+        }
+    }
+    let vars = eval.get("variables").and_then(Value::as_array).unwrap_or_default();
+    if vars.is_empty() {
+        errs.push("eval.variables must be a non-empty array".into());
+    }
+    for (i, v) in vars.iter().enumerate() {
+        let ok = v.get("name").and_then(Value::as_str).is_some()
+            && v.get("tune_wall_s").and_then(Value::as_f64).map(|w| w > 0.0) == Some(true);
+        if !ok {
+            errs.push(format!("eval.variables[{i}]: need name and positive tune_wall_s"));
+        }
+    }
+    let stages = eval.get("stages").and_then(Value::as_array).unwrap_or_default();
+    if stages.is_empty() {
+        errs.push("eval.stages must be a non-empty per-stage self-time profile".into());
+    }
+    for (i, st) in stages.iter().enumerate() {
+        let snum = |key: &str| st.get(key).and_then(Value::as_f64);
+        let ok = st.get("name").and_then(Value::as_str).is_some()
+            && snum("calls").map(|c| c >= 1.0) == Some(true)
+            && snum("self_ms").map(|s| s >= 0.0) == Some(true);
+        if !ok {
+            errs.push(format!("eval.stages[{i}]: need name, calls >= 1, self_ms >= 0"));
+        }
     }
 }
 
-/// Minimal JSON string encoding (same contract as `tune::json_str`).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// The gated metrics of an `eval` section: the synthesis and verdict
+/// rates (higher is better). Wall times are machine-dependent and not
+/// gated.
+pub(crate) fn gated(eval: &Value) -> Result<Vec<(String, f64)>, String> {
+    [("synth members/s", "synth_members_per_s"), ("verdicts/s", "verdicts_per_s")]
+        .into_iter()
+        .map(|(label, key)| {
+            let rate = eval.get(key).and_then(Value::as_f64).ok_or(format!("{key} missing"))?;
+            Ok((label.to_string(), rate))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -218,16 +242,12 @@ mod tests {
     use cc_grid::Resolution;
     use cc_model::Model;
 
-    fn tiny_artifact() -> EvalArtifact {
+    #[test]
+    fn eval_bench_measures_rates_and_stages() {
         let model = Model::new(Resolution::reduced(2, 2), 13);
         let eval = Evaluation::new(model, EvalConfig::quick(9));
         let vars = vec![eval.model.var_id("U").unwrap()];
-        run(&eval, &vars, "quick")
-    }
-
-    #[test]
-    fn eval_section_merges_into_bench_as_v7() {
-        let artifact = tiny_artifact();
+        let artifact = run(&eval, &vars, "quick");
         assert!(artifact.synth_members_per_s > 0.0, "no synthesis rate measured");
         assert!(artifact.verdicts_per_s > 0.0);
         assert_eq!(artifact.variables.len(), 1);
@@ -236,111 +256,8 @@ mod tests {
             "stage profile missing eval.sample: {:?}",
             artifact.stages
         );
-
-        let base = crate::throughput::run(
-            &crate::throughput::BenchConfig {
-                npts: 2_048,
-                nlev: 1,
-                worker_counts: vec![1, 2],
-                reps: 1,
-                preset: "quick".into(),
-            },
-            &mut |_| {},
-        );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
-        let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/7")
-        );
-        let stages = doc
-            .get("eval")
-            .and_then(|e| e.get("stages"))
-            .and_then(Value::as_array)
-            .expect("eval.stages");
-        assert!(!stages.is_empty());
-
-        // A schema-less document refuses the merge.
-        assert!(artifact.merge_into_bench("{}").is_err());
-    }
-
-    #[test]
-    fn tune_section_rides_along_on_v7() {
-        // eval appended after tune keeps both sections valid at /7.
-        let model = Model::new(Resolution::reduced(2, 2), 13);
-        let eval = Evaluation::new(model, EvalConfig::quick(9));
-        let vars = vec![eval.model.var_id("U").unwrap()];
-        let tune = crate::tune::TuneArtifact {
-            preset: "quick".into(),
-            report: TuneReport::build(&eval, &vars),
-        };
-        let base = crate::throughput::run(
-            &crate::throughput::BenchConfig {
-                npts: 2_048,
-                nlev: 1,
-                worker_counts: vec![1, 2],
-                reps: 1,
-                preset: "quick".into(),
-            },
-            &mut |_| {},
-        );
-        let with_tune = tune.merge_into_bench(&base.to_json()).expect("tune merge");
-        let artifact = run(&eval, &vars, "quick");
-        let merged = artifact.merge_into_bench(&with_tune).expect("eval merge");
-        let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/7")
-        );
-        assert!(doc.get("tune").is_some() && doc.get("eval").is_some());
-
-        // And tune merged *after* eval preserves the /7 level.
-        let reversed = tune.merge_into_bench(&merged).expect("tune onto /7");
-        let doc = json::parse(&reversed).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/7")
-        );
-    }
-
-    #[test]
-    fn eval_compare_flags_regressions() {
-        let artifact = tiny_artifact();
-        let base = crate::throughput::run(
-            &crate::throughput::BenchConfig {
-                npts: 2_048,
-                nlev: 1,
-                worker_counts: vec![1, 2],
-                reps: 1,
-                preset: "quick".into(),
-            },
-            &mut |_| {},
-        );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
-        // Same document on both sides: everything passes.
-        let rows = crate::throughput::compare_eval(&merged, &merged, 0.25)
-            .expect("both documents carry eval sections");
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.pass));
-        let (_, fails) = crate::throughput::render_eval_compare(&rows);
-        assert_eq!(fails, 0);
-
-        // A baseline with 10x our rates fails both.
-        let mut doc = json::parse(&merged).unwrap();
-        let mut eval_sec = doc.get("eval").unwrap().clone();
-        for key in ["synth_members_per_s", "verdicts_per_s"] {
-            let v = eval_sec.get(key).and_then(Value::as_f64).unwrap();
-            eval_sec.set(key, Value::Num(v * 10.0));
-        }
-        doc.set("eval", eval_sec);
-        let inflated = doc.to_json();
-        let rows = crate::throughput::compare_eval(&merged, &inflated, 0.25).unwrap();
-        assert!(rows.iter().all(|r| !r.pass));
-        let (table, fails) = crate::throughput::render_eval_compare(&rows);
-        assert_eq!(fails, 2);
-        assert!(table.contains("REGRESSED"));
-
-        // No eval section on one side: no comparison.
-        assert!(crate::throughput::compare_eval(&merged, &base.to_json(), 0.25).is_none());
+        let stages = artifact.to_value();
+        let stages = stages.get("stages").and_then(Value::as_array).expect("eval.stages");
+        assert_eq!(stages.len(), artifact.stages.len());
     }
 }

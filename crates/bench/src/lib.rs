@@ -7,6 +7,7 @@
 //! ne=30 grid (48,602 horizontal points — budget accordingly).
 
 pub mod archive_bench;
+pub mod artifact;
 pub mod evalbench;
 pub mod faults;
 pub mod scorecard;

@@ -8,9 +8,8 @@
 //! exports; percentiles are conservative bucket upper bounds via
 //! [`cc_obs::percentile_upper_bound`]). Each run also reports the
 //! per-opcode latency split from the `serve.req_us.{op}` histograms.
-//! The result merges into an existing `BENCH.json` as a `serve`
-//! section, bumping the schema additively to `cc-bench-throughput/6`
-//! (see [`crate::throughput`] for the base document).
+//! The result is the `serve` section of `BENCH.json` (see
+//! [`crate::artifact`]); it is not gated by `bench-check --against`.
 //!
 //! ```json
 //! "serve": {
@@ -290,25 +289,68 @@ impl ServeBenchReport {
         );
         json::parse(&text).expect("serve section serializes to valid JSON")
     }
+}
 
-    /// Merge this report into an existing `BENCH.json` document: set the
-    /// `serve` section and bump the schema to `cc-bench-throughput/6`.
-    /// The result is re-validated before being returned, so a document
-    /// that cannot legally carry the section (e.g. a pre-telemetry `/1`
-    /// artifact) errors instead of producing an invalid file.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        let Some(schema) = doc.get("schema").and_then(Value::as_str) else {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        };
-        if schema != "cc-bench-throughput/7" && schema != "cc-bench-throughput/8" {
-            doc.set("schema", Value::Str("cc-bench-throughput/6".into()));
+/// Check a `serve` section, pushing every violation onto `errs`. Every
+/// run must carry its client count, p50 <= p99 <= p999, and a non-empty
+/// `per_op` latency split.
+pub(crate) fn validate(serve: &Value, errs: &mut Vec<String>) {
+    for key in ["shards", "requests_per_client", "payload_elems"] {
+        if serve.get(key).and_then(Value::as_f64).map(|v| v > 0.0) != Some(true) {
+            errs.push(format!("serve.{key} must be a positive number"));
         }
-        doc.set("serve", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
+    }
+    if serve
+        .get("client_counts")
+        .and_then(Value::as_array)
+        .map(|a| a.iter().all(|v| v.as_f64().map(|c| c >= 1.0) == Some(true)) && !a.is_empty())
+        != Some(true)
+    {
+        errs.push("serve.client_counts must be a non-empty array of positive counts".into());
+    }
+    let runs = serve.get("runs").and_then(Value::as_array).unwrap_or_default();
+    if runs.len() < 2 {
+        errs.push("serve.runs must cover at least two sweep points".into());
+    }
+    for (i, r) in runs.iter().enumerate() {
+        let num = |key: &str| r.get(key).and_then(Value::as_f64);
+        if num("workers").map(|v| v >= 1.0) != Some(true)
+            || num("requests").map(|v| v >= 1.0) != Some(true)
+            || num("req_per_s").map(|v| v > 0.0) != Some(true)
+        {
+            errs.push(format!("serve.runs[{i}]: workers/requests/req_per_s must be positive"));
+        }
+        if num("clients").map(|v| v >= 1.0) != Some(true) {
+            errs.push(format!("serve.runs[{i}]: clients must be >= 1"));
+        }
+        if !matches!(
+            (num("p50_us"), num("p99_us"), num("p999_us")),
+            (Some(p50), Some(p99), Some(p999)) if p50 >= 0.0 && p99 >= p50 && p999 >= p99
+        ) {
+            errs.push(format!("serve.runs[{i}]: need p50_us <= p99_us <= p999_us"));
+        }
+        if num("busy_rate").map(|v| (0.0..=1.0).contains(&v)) != Some(true) {
+            errs.push(format!("serve.runs[{i}]: busy_rate must be in [0, 1]"));
+        }
+        let ops = r.get("per_op").and_then(Value::as_array).unwrap_or_default();
+        if ops.is_empty() {
+            errs.push(format!("serve.runs[{i}]: per_op latency split missing"));
+        }
+        for (j, o) in ops.iter().enumerate() {
+            let onum = |key: &str| o.get(key).and_then(Value::as_f64);
+            let ok = o.get("op").and_then(Value::as_str).is_some()
+                && onum("count").map(|v| v >= 1.0) == Some(true)
+                && matches!(
+                    (onum("p50_us"), onum("p99_us"), onum("p999_us")),
+                    (Some(p50), Some(p99), Some(p999))
+                        if p50 >= 0.0 && p99 >= p50 && p999 >= p99
+                );
+            if !ok {
+                errs.push(format!(
+                    "serve.runs[{i}].per_op[{j}]: need op, count >= 1, p50 <= p99 <= p999"
+                ));
+            }
+        }
     }
 }
 
@@ -317,7 +359,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_sweep_measures_and_merges() {
+    fn tiny_sweep_measures_every_run() {
         let config = ServeBenchConfig {
             worker_counts: vec![1, 2],
             shards: 2,
@@ -342,38 +384,5 @@ mod tests {
             assert!(comp.count >= 6);
             assert!(comp.p99_us >= comp.p50_us && comp.p999_us >= comp.p99_us);
         }
-
-        // Merging into a fresh /2 document yields a valid /4 one.
-        let base = crate::throughput::run(
-            &crate::throughput::BenchConfig {
-                npts: 2_048,
-                nlev: 1,
-                worker_counts: vec![1, 2],
-                reps: 1,
-                preset: "quick".into(),
-            },
-            &mut |_| {},
-        );
-        let merged = report.merge_into_bench(&base.to_json()).expect("merge");
-        crate::throughput::validate(&merged).expect("merged document is /6-valid");
-        let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/6")
-        );
-        assert_eq!(
-            doc.get("serve").and_then(|s| s.get("runs")).and_then(Value::as_array).map(|a| a.len()),
-            Some(2)
-        );
-        assert_eq!(
-            doc.get("serve")
-                .and_then(|s| s.get("client_counts"))
-                .and_then(Value::as_array)
-                .map(|a| a.len()),
-            Some(1)
-        );
-
-        // A schema-less document refuses the merge.
-        assert!(report.merge_into_bench("{}").is_err());
     }
 }

@@ -1,18 +1,24 @@
 //! `repro tune`: the per-variable auto-tuning artifact.
 //!
 //! Wraps [`cc_core::TuneReport`] — the generalized enumerate-filter-
-//! minimize search over the (family × parameter) candidate space — in the
-//! same artifact plumbing `serve_bench` uses: serialize the outcomes to a
-//! `tune` JSON section and append it to an existing `BENCH.json`
-//! document, bumping the schema additively to `cc-bench-throughput/5`.
-//! The merged document is re-validated before being returned, so a
-//! schema-less or otherwise broken artifact refuses the merge instead of
-//! producing an invalid file.
+//! minimize search over the (family × parameter) candidate space — as
+//! the `tune` section of `BENCH.json` (see [`crate::artifact`]):
+//!
+//! ```json
+//! "tune": {
+//!   "preset": "default",
+//!   "variables": [
+//!     {"name": "U", "chosen": "SZ-rel-1e-3", "cr": 0.19, "passes": true,
+//!      "hybrid": "fpzip-24", "hybrid_cr": 0.25, "candidates": 24, "passing": 9}, ...
+//!   ]
+//! }
+//! ```
 //!
 //! The section is deterministic by construction: the tuner's candidate
 //! order is fixed, CRs come from worker-count-independent chunked
 //! streams, and no timestamps are recorded — two runs at any worker
-//! count produce byte-identical sections.
+//! count produce byte-identical sections. It is not gated by
+//! `bench-check --against`.
 
 use cc_core::TuneReport;
 use cc_obs::json::{self, Value};
@@ -36,14 +42,14 @@ impl TuneArtifact {
             .iter()
             .map(|v| {
                 format!(
-                    "{{\"name\": {}, \"chosen\": {}, \"cr\": {:.6}, \"passes\": {}, \
-                     \"hybrid\": {}, \"hybrid_cr\": {:.6}, \"candidates\": {}, \
+                    "{{\"name\": \"{}\", \"chosen\": \"{}\", \"cr\": {:.6}, \"passes\": {}, \
+                     \"hybrid\": \"{}\", \"hybrid_cr\": {:.6}, \"candidates\": {}, \
                      \"passing\": {}}}",
-                    json_str(&v.name),
-                    json_str(&v.chosen.name()),
+                    json::escape(&v.name),
+                    json::escape(&v.chosen.name()),
                     v.verdict.cr,
                     v.verdict.all_pass(),
-                    json_str(&v.hybrid_variant.name()),
+                    json::escape(&v.hybrid_variant.name()),
                     v.hybrid_cr,
                     v.candidates,
                     v.passing
@@ -51,53 +57,55 @@ impl TuneArtifact {
             })
             .collect();
         let text = format!(
-            "{{\"preset\": {}, \"variables\": [{}]}}",
-            json_str(&self.preset),
+            "{{\"preset\": \"{}\", \"variables\": [{}]}}",
+            json::escape(&self.preset),
             vars.join(", ")
         );
         json::parse(&text).expect("tune section serializes to valid JSON")
     }
-
-    /// Merge this report into an existing `BENCH.json` document: set the
-    /// `tune` section and bump the schema to `cc-bench-throughput/5`
-    /// (`/6` and `/7` documents keep their level — both validate a riding
-    /// tune section too). An existing `serve` section rides along
-    /// unchanged. Returns the re-validated document.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        let Some(schema) = doc.get("schema").and_then(Value::as_str) else {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        };
-        if schema != "cc-bench-throughput/6"
-            && schema != "cc-bench-throughput/7"
-            && schema != "cc-bench-throughput/8"
-        {
-            doc.set("schema", Value::Str("cc-bench-throughput/5".into()));
-        }
-        doc.set("tune", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
-    }
 }
 
-/// Minimal JSON string encoding (names here are plain ASCII, but quote
-/// and backslash still must not break the document).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Check a `tune` section, pushing every violation onto `errs`. Every
+/// chosen config must have passed all four ensemble tests, and its CR
+/// (compressed/raw, smaller is better) must match or beat the
+/// hand-picked hybrid's.
+pub(crate) fn validate(tune: &Value, errs: &mut Vec<String>) {
+    if tune.get("preset").and_then(Value::as_str).is_none() {
+        errs.push("tune.preset missing".into());
+    }
+    let vars = tune.get("variables").and_then(Value::as_array).unwrap_or_default();
+    if vars.is_empty() {
+        errs.push("tune.variables must be a non-empty array".into());
+    }
+    for (i, v) in vars.iter().enumerate() {
+        let num = |key: &str| v.get(key).and_then(Value::as_f64);
+        if v.get("name").and_then(Value::as_str).is_none()
+            || v.get("chosen").and_then(Value::as_str).is_none()
+            || v.get("hybrid").and_then(Value::as_str).is_none()
+        {
+            errs.push(format!("tune.variables[{i}]: name/chosen/hybrid must be strings"));
+        }
+        if v.get("passes") != Some(&Value::Bool(true)) {
+            errs.push(format!("tune.variables[{i}]: chosen config must pass all four tests"));
+        }
+        match (num("cr"), num("hybrid_cr")) {
+            (Some(cr), Some(hcr)) if cr > 0.0 && cr <= 4.0 && hcr > 0.0 => {
+                if cr > hcr + 1e-9 {
+                    errs.push(format!(
+                        "tune.variables[{i}]: tuned CR {cr} worse than hybrid {hcr}"
+                    ));
+                }
+            }
+            _ => errs.push(format!(
+                "tune.variables[{i}]: cr/hybrid_cr must be positive (cr <= 4)"
+            )),
+        }
+        if num("candidates").map(|c| c >= 1.0) != Some(true)
+            || num("passing").map(|p| p >= 1.0) != Some(true)
+        {
+            errs.push(format!("tune.variables[{i}]: candidates/passing must be >= 1"));
         }
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -116,50 +124,13 @@ mod tests {
     }
 
     #[test]
-    fn tune_section_merges_into_bench_as_v5() {
-        let report = tiny_report();
-        let artifact = TuneArtifact { preset: "quick".into(), report };
-
-        let base = crate::throughput::run(
-            &crate::throughput::BenchConfig {
-                npts: 2_048,
-                nlev: 1,
-                worker_counts: vec![1, 2],
-                reps: 1,
-                preset: "quick".into(),
-            },
-            &mut |_| {},
-        );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
-        crate::throughput::validate(&merged).expect("merged document is /5-valid");
-        let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/5")
-        );
-        let vars = doc
-            .get("tune")
-            .and_then(|t| t.get("variables"))
-            .and_then(Value::as_array)
-            .expect("tune.variables");
-        assert_eq!(vars.len(), 1);
-        assert_eq!(vars[0].get("name").and_then(Value::as_str), Some("U"));
-        assert_eq!(vars[0].get("passes"), Some(&Value::Bool(true)));
-
-        // A schema-less document refuses the merge.
-        assert!(artifact.merge_into_bench("{}").is_err());
-    }
-
-    #[test]
     fn tune_section_is_deterministic() {
         let a = TuneArtifact { preset: "quick".into(), report: tiny_report() };
         let b = TuneArtifact { preset: "quick".into(), report: tiny_report() };
-        assert_eq!(a.to_value().to_json(), b.to_value().to_json());
-    }
-
-    #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        let section = a.to_value();
+        assert_eq!(section.to_json(), b.to_value().to_json());
+        let vars = section.get("variables").and_then(Value::as_array).expect("variables");
+        assert_eq!(vars[0].get("name").and_then(Value::as_str), Some("U"));
+        assert_eq!(vars[0].get("passes"), Some(&Value::Bool(true)));
     }
 }

@@ -7,8 +7,7 @@
 //! support the standard escapes; numbers parse through `f64`.
 //!
 //! This module lives in `cc-obs` (the lowest layer) so every crate can
-//! validate what it writes; `cc_bench::throughput::json` re-exports it
-//! for backward compatibility.
+//! validate what it writes.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,4 +1,4 @@
-//! Minimal data-parallel helpers on crossbeam scoped threads.
+//! Minimal data-parallel helpers on `std::thread::scope` workers.
 //!
 //! The evaluation sweeps are embarrassingly parallel over variables (and
 //! over ensemble members inside a variable), and the chunked codec path
