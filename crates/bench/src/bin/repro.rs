@@ -71,12 +71,12 @@ use cc_bench::{RunConfig, FOCUS};
 use cc_codecs::{Codec, Variant};
 use cc_core::evaluation::{verdict_for, verdicts_for, EvalConfig, Evaluation, VariableContext};
 use cc_core::report::{cr_fmt, render_boxplot, render_histogram, sci, BoxStats, Table};
-use cc_core::{build_hybrid, build_nc_baseline, HybridResult};
+use cc_core::{hybrid_methods, HybridResult};
 use cc_grid::Resolution;
 use cc_metrics::FieldStats;
 use cc_ncdf::{DType, Dataset, FilterPipeline};
 use cc_obs::progress;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// Every experiment `repro` understands, in the order the doc comment
@@ -105,7 +105,6 @@ fn main() {
             "table5" => runner.table5(),
             "table6" => runner.table6(),
             "table7" => runner.table7_8(),
-            "table8" => runner.table7_8(),
             "fig1" => runner.fig1(),
             "fig2" => runner.fig2(),
             "fig3" => runner.fig3(),
@@ -412,6 +411,8 @@ fn parse_args() -> (Vec<String>, RunConfig, BenchOpts, ObsOpts) {
                     }
                 }
             }
+            // One computation renders both tables.
+            "table8" => exps.push("table7".to_string()),
             other => exps.push(other.to_string()),
         }
     }
@@ -422,8 +423,9 @@ fn parse_args() -> (Vec<String>, RunConfig, BenchOpts, ObsOpts) {
                 .map(String::from),
         );
     }
-    // table7 implies table8 (same computation); dedupe.
-    exps.dedup();
+    // Each experiment runs once, at its first mention.
+    let mut seen = BTreeSet::new();
+    exps.retain(|e| seen.insert(e.clone()));
     (exps, cfg, bench, obs)
 }
 
@@ -450,11 +452,7 @@ impl Runner {
 
     fn focus_context(&mut self, name: &str) -> &VariableContext {
         if !self.focus_ctx.contains_key(name) {
-            let eval = self.cfg.evaluation();
-            if self.eval.is_none() {
-                self.eval = Some(eval);
-            }
-            let eval = self.eval.as_ref().unwrap();
+            let eval = self.eval();
             let var = eval.model.var_id(name).unwrap_or_else(|| {
                 eprintln!("unknown focus variable {name}");
                 std::process::exit(2);
@@ -677,14 +675,12 @@ impl Runner {
     // Tables 7 & 8: hybrid customization results and composition.
     // ------------------------------------------------------------------
     fn table7_8(&mut self) {
-        let eval = self.cfg.evaluation();
-        let mut hybrids: Vec<HybridResult> = Vec::new();
-        for family in cc_codecs::Family::all() {
-            progress!("    building hybrid for {} ...", family.name());
-            hybrids.push(build_hybrid(&eval, family));
-        }
-        progress!("    building NC baseline ...");
-        hybrids.push(build_nc_baseline(&eval));
+        let hybrids = {
+            let eval = self.eval();
+            let vars: Vec<usize> = (0..eval.model.registry().len()).collect();
+            progress!("    scoring the four hybrids and NC over {} variables ...", vars.len());
+            hybrid_methods(eval, &vars)
+        };
 
         let mut t7 = Table::new(
             "Table 7: Customizing each method by variable (hybrid methods)",

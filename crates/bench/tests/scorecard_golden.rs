@@ -7,9 +7,10 @@
 //! which exits non-zero if any *required* claim fails. Experiments whose
 //! artifacts are absent score "n/a", not failure, so the subset stays
 //! fast enough for CI while still proving the pipeline + claim checker
-//! end to end. (`table6`/`table7` are exercised at full scale by the CI
-//! `repro` runs; `table7`'s ranking claim is config-sensitive at smoke
-//! scale by design.)
+//! end to end. No CI job runs `table6`, and no CI job scores `table7`:
+//! the `tune-smoke` job renders `table7 table8 --quick` without a
+//! scorecard, because `table7`'s ranking claim is config-sensitive at
+//! smoke scale by design.
 
 use std::process::Command;
 

@@ -30,10 +30,9 @@
 //! codec.
 //!
 //! **Totality.** Decoding recomputes the expected partition from the
-//! caller's layout (accepting either the current partition's frame count
-//! or the pre-overhaul whole-level partition's, for streams written
-//! before sub-level splitting), so a corrupt chunk count or length can
-//! only produce [`CodecError::Corrupt`] — never an oversized allocation:
+//! caller's layout and accepts only its frame count, so a corrupt chunk
+//! count or length can only produce [`CodecError::Corrupt`] — never an
+//! oversized allocation:
 //! the output buffer is sized from the caller-supplied layout and every
 //! block is decoded by the wrapped codec's own hardened path.
 
@@ -120,37 +119,6 @@ fn push_row_chunks(specs: &mut Vec<ChunkSpec>, base: usize, npts: usize, cols: u
     }
 }
 
-/// The pre-overhaul partition: 3-D fields always split along whole
-/// levels, never within one. Kept (and tried by [`decompress_chunked`]
-/// when the stream's frame count does not match [`plan`]) so chunked
-/// streams written before sub-level splitting still decode.
-pub fn plan_legacy(layout: Layout) -> Vec<ChunkSpec> {
-    if layout.is_empty() {
-        return Vec::new();
-    }
-    let mut specs = Vec::new();
-    if layout.nlev > 1 {
-        let levs_per = (TARGET_CHUNK_ELEMS / layout.npts.max(1)).max(1);
-        let mut lev = 0;
-        while lev < layout.nlev {
-            let l1 = (lev + levs_per).min(layout.nlev);
-            specs.push(ChunkSpec {
-                start: lev * layout.npts,
-                layout: Layout {
-                    nlev: l1 - lev,
-                    npts: layout.npts,
-                    rows: layout.rows,
-                    cols: layout.cols,
-                },
-            });
-            lev = l1;
-        }
-    } else {
-        push_row_chunks(&mut specs, 0, layout.npts, layout.cols);
-    }
-    specs
-}
-
 /// Compress `data` as a chunked stream, fanning blocks over `workers`
 /// threads. `workers = 1` is the sequential reference; any other count
 /// produces bit-identical bytes.
@@ -234,14 +202,10 @@ fn encode_chunk(codec: &dyn Codec, data: &[f32], layout: Layout) -> Vec<u8> {
 }
 
 /// Decode a chunked stream produced by [`compress_chunked`]. Total over
-/// untrusted input: framing damage returns [`CodecError::Corrupt`] and
-/// block damage surfaces the wrapped codec's error; allocations are
-/// bounded by the caller-supplied layout.
-///
-/// The frame count is read from the stream and matched against the
-/// current partition first and the pre-overhaul whole-level partition
-/// ([`plan_legacy`]) second, so streams written before sub-level
-/// splitting still decode; a count matching neither is [`CodecError::Corrupt`].
+/// untrusted input: framing damage (including a frame count other than
+/// [`plan`]'s) returns [`CodecError::Corrupt`] and block damage surfaces
+/// the wrapped codec's error; allocations are bounded by the
+/// caller-supplied layout.
 pub fn decompress_chunked(
     codec: &dyn Codec,
     bytes: &[u8],
@@ -263,20 +227,9 @@ pub fn decompress_chunked(
         return Err(reject(CodecError::Corrupt("truncated chunk count")));
     }
     let count = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-    let specs = if count == specs.len() {
-        specs
-    } else {
-        // Pre-overhaul streams partitioned 3-D fields along whole levels;
-        // accept their frame count too. (The counts can only coincide when
-        // the partitions are identical, so there is no ambiguity.)
-        let legacy = plan_legacy(layout);
-        if count != legacy.len() {
-            return Err(reject(CodecError::Corrupt(
-                "chunk count matches neither current nor legacy partition",
-            )));
-        }
-        legacy
-    };
+    if count != specs.len() {
+        return Err(reject(CodecError::Corrupt("chunk count does not match the partition")));
+    }
     let mut frames: Vec<(&[u8], ChunkSpec)> = Vec::with_capacity(specs.len());
     let mut off = 4;
     for s in &specs {
@@ -501,6 +454,22 @@ mod tests {
             decompress_chunked(codec.as_ref(), &good, layout, 1).unwrap(),
             data
         );
+
+        // Levels above TARGET_CHUNK_ELEMS split within each level, so a
+        // stream framed as one chunk per whole level has the wrong frame
+        // count and must not decode.
+        let layout = Layout { nlev: 2, npts: 100_000, rows: 317, cols: 317 };
+        let (data, _) = smooth_field(layout.len(), 1);
+        assert!(plan(layout).len() > 2, "levels must split within themselves");
+        let mut whole_level = Vec::new();
+        write_layout_header(&mut whole_level, layout);
+        whole_level.extend_from_slice(&2u32.to_le_bytes());
+        for level in data.chunks(layout.npts) {
+            let p = codec.compress(level, Layout { nlev: 1, ..layout });
+            whole_level.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            whole_level.extend_from_slice(&p);
+        }
+        assert!(decompress_chunked(codec.as_ref(), &whole_level, layout, 2).is_err());
     }
 
     #[test]
@@ -519,38 +488,16 @@ mod tests {
             let within = s.start % layout.npts;
             assert_eq!(within % layout.cols, 0, "chunk at {} not row-aligned", s.start);
         }
-        // Small levels keep the whole-level grouping.
+        // Small levels keep the whole-level grouping: as many whole
+        // levels per chunk as fit in TARGET_CHUNK_ELEMS.
         let small = Layout { nlev: 4, npts: 10_000, rows: 100, cols: 100 };
-        assert_eq!(plan(small), plan_legacy(small));
-    }
-
-    #[test]
-    fn legacy_whole_level_stream_decodes() {
-        // A field whose levels exceed TARGET_CHUNK_ELEMS: the current
-        // plan splits within levels, the pre-overhaul plan did not.
-        let layout = Layout { nlev: 2, npts: 100_000, rows: 317, cols: 317 };
-        let (data, _) = smooth_field(layout.len(), 1);
-        let legacy_specs = plan_legacy(layout);
-        assert_eq!(legacy_specs.len(), 2);
-        assert_ne!(plan(layout).len(), legacy_specs.len(), "plans must diverge here");
-
-        let codec = Variant::NetCdf4.codec();
-        // Rebuild the pre-overhaul stream from per-chunk plain streams.
-        let mut legacy = Vec::new();
-        write_layout_header(&mut legacy, layout);
-        legacy.extend_from_slice(&(legacy_specs.len() as u32).to_le_bytes());
-        for s in &legacy_specs {
-            let p = codec.compress(&data[s.start..s.start + s.layout.len()], s.layout);
-            legacy.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            legacy.extend_from_slice(&p);
-        }
-        let back = decompress_chunked(codec.as_ref(), &legacy, layout, 2).unwrap();
-        assert_eq!(back, data, "legacy whole-level stream must still decode");
-
-        // A frame count matching neither partition is corrupt.
-        let mut bad = legacy.clone();
-        bad[LAYOUT_HEADER_LEN] = 7;
-        assert!(decompress_chunked(codec.as_ref(), &bad, layout, 1).is_err());
+        let specs = plan(small);
+        assert_eq!(specs.len(), 1, "4 x 10,000 points fit in one chunk");
+        assert_eq!(specs[0], ChunkSpec { start: 0, layout: small });
+        let tall = Layout { nlev: 10, ..small };
+        let starts: Vec<(usize, usize)> =
+            plan(tall).iter().map(|s| (s.start, s.layout.nlev)).collect();
+        assert_eq!(starts, [(0, 6), (60_000, 4)], "6 whole levels per chunk");
     }
 
     #[test]

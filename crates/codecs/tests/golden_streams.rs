@@ -2,12 +2,10 @@
 //!
 //! Every hash below was captured from the pre-kernel-overhaul
 //! implementation (u8-accumulator bit I/O, prefix-doubling BWT,
-//! comparator-sort ISABELA, whole-level chunk partition). The rewritten
-//! kernels must reproduce these streams byte-for-byte: the bit I/O
-//! rewrite, the SA-IS suffix sort, and the ISABELA scratch/radix-sort
-//! changes are all required to be format-preserving, and pre-overhaul
-//! *multi-chunk* streams (whole-level partition) must still decode even
-//! though the encoder now partitions within levels.
+//! comparator-sort ISABELA). The rewritten kernels must reproduce these
+//! streams byte-for-byte: the bit I/O rewrite, the SA-IS suffix sort, and
+//! the ISABELA scratch/radix-sort changes are all required to be
+//! format-preserving.
 //!
 //! Regenerate (only after an intentional format change) with:
 //! `GOLDEN_DUMP=1 cargo test -p cc-codecs --test golden_streams -- --nocapture`
@@ -145,45 +143,22 @@ fn sz_single_chunk_streams_are_pinned() {
     }
 }
 
-/// Multi-chunk field on which the pre-overhaul (whole-level) partition and
-/// the sub-level partition disagree: npts > TARGET_CHUNK_ELEMS, so the old
-/// plan yields one chunk per level (2) and the new plan splits within each
-/// level.
-const LAYOUT_LEGACY: Layout = Layout { nlev: 2, npts: 100_000, rows: 317, cols: 317 };
+/// Multi-chunk field whose levels exceed `TARGET_CHUNK_ELEMS`, so the
+/// encoder splits within each level.
+const LAYOUT_SPLIT: Layout = Layout { nlev: 2, npts: 100_000, rows: 317, cols: 317 };
 
-/// Hash of the pre-overhaul `compress_chunked` stream for
-/// [`LAYOUT_LEGACY`] (whole-level partition, 2 frames), and the hashes of
-/// the two per-level payloads it framed, per variant. Pinned so the
-/// legacy-format decode path can be exercised against byte-exact
-/// pre-overhaul streams rebuilt from today's (format-identical) per-chunk
-/// encoder.
-const GOLDEN_LEGACY: &[(&str, u64, u64, u64)] = &[
-    ("fpzip-24", 0x61201deb6ff4fb8c, 0x0cb2a57411bbb714, 0x44026fd28359707c),
-    ("ISA-0.5", 0x8e5f1fc3370fec0d, 0x8bd8970fbe0c9c27, 0xb9c2655ba9e33d5e),
-    ("NetCDF-4", 0x9b4a61aaa889c131, 0x56cbe47303f5d8fe, 0xa15fd01c3e30c761),
+/// Hashes of the two per-level plain streams of [`LAYOUT_SPLIT`]'s field
+/// (100,000 points each), per variant.
+const GOLDEN_LEVELS: &[(&str, u64, u64)] = &[
+    ("fpzip-24", 0x0cb2a57411bbb714, 0x44026fd28359707c),
+    ("ISA-0.5", 0x8bd8970fbe0c9c27, 0xb9c2655ba9e33d5e),
+    ("NetCDF-4", 0x56cbe47303f5d8fe, 0xa15fd01c3e30c761),
 ];
 
-/// Rebuild the pre-overhaul chunked framing (whole-level partition) for a
-/// two-level field from per-level plain streams.
-fn build_legacy_stream(payloads: &[Vec<u8>], layout: Layout) -> Vec<u8> {
-    let mut out = Vec::new();
-    // 16-byte layout echo, same format as cc_codecs::write_layout_header.
-    out.extend_from_slice(&(layout.nlev as u32).to_le_bytes());
-    out.extend_from_slice(&(layout.npts as u32).to_le_bytes());
-    out.extend_from_slice(&(layout.rows as u32).to_le_bytes());
-    out.extend_from_slice(&(layout.cols as u32).to_le_bytes());
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for p in payloads {
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(p);
-    }
-    out
-}
-
 #[test]
-fn legacy_whole_level_streams_still_decode() {
-    let data = field(LAYOUT_LEGACY);
-    let per_level = Layout { nlev: 1, ..LAYOUT_LEGACY };
+fn per_level_payload_streams_are_pinned() {
+    let data = field(LAYOUT_SPLIT);
+    let per_level = Layout { nlev: 1, ..LAYOUT_SPLIT };
     let mut dump = String::new();
     for (name, variant) in [
         ("fpzip-24", Variant::Fpzip { bits: 24 }),
@@ -191,52 +166,40 @@ fn legacy_whole_level_streams_still_decode() {
         ("NetCDF-4", Variant::NetCdf4),
     ] {
         let codec = variant.codec();
-        // Per-level plain streams — byte-identical before and after the
-        // overhaul (pinned by the payload hashes below).
-        let lev0 = codec.compress(&data[..LAYOUT_LEGACY.npts], per_level);
-        let lev1 = codec.compress(&data[LAYOUT_LEGACY.npts..], per_level);
-        let legacy = build_legacy_stream(&[lev0.clone(), lev1.clone()], LAYOUT_LEGACY);
+        let lev0 = codec.compress(&data[..LAYOUT_SPLIT.npts], per_level);
+        let lev1 = codec.compress(&data[LAYOUT_SPLIT.npts..], per_level);
         if std::env::var("GOLDEN_DUMP").is_ok() {
             dump.push_str(&format!(
-                "    (\"{name}\", {:#018x}, {:#018x}, {:#018x}),\n",
-                fnv1a(&legacy),
+                "    (\"{name}\", {:#018x}, {:#018x}),\n",
                 fnv1a(&lev0),
                 fnv1a(&lev1)
             ));
             continue;
         }
-        let (_, gs, g0, g1) = GOLDEN_LEGACY
+        let (_, g0, g1) = GOLDEN_LEVELS
             .iter()
             .find(|(n, ..)| *n == name)
             .unwrap_or_else(|| panic!("no golden entry for {name}"));
         assert_eq!(fnv1a(&lev0), *g0, "{name}: level-0 payload bytes drifted");
         assert_eq!(fnv1a(&lev1), *g1, "{name}: level-1 payload bytes drifted");
-        assert_eq!(fnv1a(&legacy), *gs, "{name}: rebuilt legacy stream differs from pre-overhaul bytes");
-        // The pre-overhaul stream must still decode exactly, even though
-        // the current encoder would partition this field differently.
-        let back = decompress_chunked(codec.as_ref(), &legacy, LAYOUT_LEGACY, 2).unwrap();
-        assert_eq!(back.len(), data.len(), "{name}: legacy stream decoded to wrong length");
-        if matches!(variant, Variant::NetCdf4) {
-            assert_eq!(back, data, "{name}: lossless legacy decode mismatch");
-        }
     }
     if !dump.is_empty() {
-        println!("const GOLDEN_LEGACY: &[(&str, u64, u64, u64)] = &[\n{dump}];");
+        println!("const GOLDEN_LEVELS: &[(&str, u64, u64)] = &[\n{dump}];");
     }
 }
 
 #[test]
-fn current_encoder_roundtrips_legacy_layout() {
-    // Sanity companion to the legacy pin: whatever partition the current
-    // encoder picks for the divergence layout, its own streams roundtrip
-    // at several worker counts with identical bytes.
-    let data = field(LAYOUT_LEGACY);
+fn current_encoder_roundtrips_split_levels() {
+    // Companion to the per-level pin: whatever partition the encoder
+    // picks for split levels, its own streams roundtrip at several
+    // worker counts with identical bytes.
+    let data = field(LAYOUT_SPLIT);
     let codec = Variant::Fpzip { bits: 24 }.codec();
-    let seq = compress_chunked(codec.as_ref(), &data, LAYOUT_LEGACY, 1);
+    let seq = compress_chunked(codec.as_ref(), &data, LAYOUT_SPLIT, 1);
     for workers in [2, 8] {
-        let par = compress_chunked(codec.as_ref(), &data, LAYOUT_LEGACY, workers);
+        let par = compress_chunked(codec.as_ref(), &data, LAYOUT_SPLIT, workers);
         assert_eq!(seq, par, "workers={workers} bytes differ from sequential");
     }
-    let back = decompress_chunked(codec.as_ref(), &seq, LAYOUT_LEGACY, 4).unwrap();
+    let back = decompress_chunked(codec.as_ref(), &seq, LAYOUT_SPLIT, 4).unwrap();
     assert_eq!(back.len(), data.len());
 }

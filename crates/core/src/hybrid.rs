@@ -2,80 +2,59 @@
 //!
 //! "We choose the variant of each method (i.e., level of compression) for
 //! each variable that yields the best CR and passes all of our tests,
-//! choosing a lossless variant if necessary." Each family walks its ladder
-//! from the most aggressive variant towards the lossless fallback
-//! (fpzip-32 for fpzip; NetCDF-4 for ISABELA, GRIB2, and APAX), stopping
-//! at the first variant whose [`VariableVerdict`] passes all four tests.
+//! choosing a lossless variant if necessary." Each family's choice is the
+//! [`ladder_pick`] over its ladder, from the most aggressive variant
+//! towards the lossless fallback (fpzip-32 for fpzip; NetCDF-4 for
+//! ISABELA, GRIB2, and APAX).
 //!
 //! The output reproduces Table 7 (per-method aggregate statistics, plus
 //! the all-lossless "NC" column) and Table 8 (how many variables each
 //! variant serves).
 
-use crate::evaluation::{verdict_for, Evaluation, VariableVerdict};
+use crate::evaluation::{Evaluation, VariableVerdict};
+use crate::tuning::{ladder_pick, score};
 use cc_codecs::{Family, Variant};
 use std::collections::BTreeMap;
 
-/// The variant chosen for one variable by one family's ladder.
-#[derive(Debug, Clone)]
-pub struct HybridChoice {
-    /// Variable name.
-    pub name: String,
-    /// The chosen variant (always the family's lossless fallback if
-    /// nothing else passes).
-    pub variant: Variant,
-    /// The verdict that justified the choice.
-    pub verdict: VariableVerdict,
-}
-
-/// A full hybrid method: one choice per variable.
+/// A full hybrid method: one chosen verdict per variable.
 #[derive(Debug, Clone)]
 pub struct HybridResult {
-    /// The method family.
+    /// The method family (`None` for the NC column).
     pub family: Option<Family>,
     /// Display name ("GRIB2", "ISABELA", "fpzip", "APAX", or "NC").
     pub label: String,
-    /// Per-variable choices.
-    pub choices: Vec<HybridChoice>,
+    /// Per-variable choices: the verdict of the chosen variant (always
+    /// the family's lossless fallback if nothing else passes).
+    pub choices: Vec<VariableVerdict>,
 }
 
 impl HybridResult {
+    /// Mean of `f` over the chosen verdicts.
+    fn mean(&self, f: impl Fn(&VariableVerdict) -> f64) -> f64 {
+        self.choices.iter().map(f).sum::<f64>() / self.choices.len().max(1) as f64
+    }
+
     /// Table 7 row: average / best / worst CR over all variables.
     pub fn cr_stats(&self) -> (f64, f64, f64) {
-        let crs: Vec<f64> = self.choices.iter().map(|c| c.verdict.cr).collect();
-        let avg = crs.iter().sum::<f64>() / crs.len().max(1) as f64;
-        let best = crs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let worst = crs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        (avg, best, worst)
+        let crs = self.choices.iter().map(|c| c.cr);
+        let best = crs.clone().fold(f64::INFINITY, f64::min);
+        let worst = crs.fold(f64::NEG_INFINITY, f64::max);
+        (self.mean(|c| c.cr), best, worst)
     }
 
     /// Table 7: average Pearson ρ (exact reconstructions count as 1).
     pub fn avg_pearson(&self) -> f64 {
-        let vals: Vec<f64> = self
-            .choices
-            .iter()
-            .map(|c| c.verdict.metrics.map(|m| m.pearson).unwrap_or(1.0))
-            .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
+        self.mean(|c| c.metrics.map_or(1.0, |m| m.pearson))
     }
 
     /// Table 7: average NRMSE.
     pub fn avg_nrmse(&self) -> f64 {
-        let vals: Vec<f64> = self
-            .choices
-            .iter()
-            .map(|c| c.verdict.metrics.map(|m| m.nrmse).unwrap_or(0.0))
-            .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
+        self.mean(|c| c.metrics.map_or(0.0, |m| m.nrmse))
     }
 
     /// Table 7: average e_nmax.
     pub fn avg_enmax(&self) -> f64 {
-        let vals: Vec<f64> = self
-            .choices
-            .iter()
-            .map(|c| c.verdict.metrics.map(|m| m.e_nmax).unwrap_or(0.0))
-            .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
+        self.mean(|c| c.metrics.map_or(0.0, |m| m.e_nmax))
     }
 
     /// Table 8: how many variables each variant serves, in ladder order.
@@ -84,65 +63,54 @@ impl HybridResult {
         for c in &self.choices {
             *counts.entry(c.variant.name()).or_insert(0) += 1;
         }
-        // Order by the family ladder (then the fallback).
-        let order: Vec<String> = match self.family {
-            Some(f) => Variant::ladder(f).iter().map(|v| v.name()).collect(),
-            None => vec!["NetCDF-4".to_string()],
-        };
-        order
+        // Order by the family ladder (NC's ladder is NetCDF-4 alone).
+        self.family
+            .map_or(vec![Variant::NetCdf4], Variant::ladder)
             .into_iter()
-            .filter_map(|name| counts.remove(&name).map(|n| (name, n)))
+            .filter_map(|v| counts.remove(&v.name()).map(|n| (v.name(), n)))
             .collect()
     }
 
     /// Every chosen variant passed all four tests (hybrid invariant).
     pub fn all_choices_pass(&self) -> bool {
-        self.choices.iter().all(|c| c.verdict.all_pass())
+        self.choices.iter().all(|c| c.all_pass())
     }
 }
 
-/// Build the hybrid method for one family over every variable.
-pub fn build_hybrid(eval: &Evaluation, family: Family) -> HybridResult {
-    let ladder = Variant::ladder(family);
-    let nvars = eval.model.registry().len();
-    let mut choices = Vec::with_capacity(nvars);
-    for var in 0..nvars {
-        let ctx = eval.context(var);
-        let mut chosen: Option<(Variant, VariableVerdict)> = None;
-        for &variant in &ladder {
-            let verdict = verdict_for(&ctx, variant);
-            let ok = verdict.all_pass();
-            chosen = Some((variant, verdict));
-            if ok {
-                break;
-            }
+/// The four family hybrids of Tables 7–8, in [`Family::all`] order,
+/// then the all-NetCDF-4 "NC" column. One [`Evaluation::map_contexts`]
+/// pass scores each variable once against the union of the ladders; each
+/// column is the [`ladder_pick`] over its own ladder.
+pub fn hybrid_methods(eval: &Evaluation, vars: &[usize]) -> Vec<HybridResult> {
+    let columns: Vec<(Option<Family>, Vec<Variant>)> = Family::all()
+        .into_iter()
+        .map(|f| (Some(f), Variant::ladder(f)))
+        .chain([(None, vec![Variant::NetCdf4])])
+        .collect();
+    let union: Vec<Variant> = columns.iter().flat_map(|(_, l)| l.iter().copied()).collect();
+    let mut picks: Vec<Vec<VariableVerdict>> = vec![Vec::with_capacity(vars.len()); columns.len()];
+    eval.map_contexts(vars, |ctx| {
+        let scored = score(ctx, &union);
+        for ((_, ladder), col) in columns.iter().zip(&mut picks) {
+            col.push(ladder_pick(&scored, ladder).clone());
         }
-        let (variant, verdict) = chosen.expect("ladder is never empty");
-        choices.push(HybridChoice { name: verdict.name.clone(), variant, verdict });
-    }
-    HybridResult { family: Some(family), label: family.name().to_string(), choices }
-}
-
-/// The "NC" column of Table 7: NetCDF-4 lossless on every variable.
-pub fn build_nc_baseline(eval: &Evaluation) -> HybridResult {
-    let nvars = eval.model.registry().len();
-    let mut choices = Vec::with_capacity(nvars);
-    for var in 0..nvars {
-        let ctx = eval.context(var);
-        let verdict = verdict_for(&ctx, Variant::NetCdf4);
-        choices.push(HybridChoice {
-            name: verdict.name.clone(),
-            variant: Variant::NetCdf4,
-            verdict,
-        });
-    }
-    HybridResult { family: None, label: "NC".to_string(), choices }
+    });
+    columns
+        .into_iter()
+        .zip(picks)
+        .map(|((family, _), choices)| HybridResult {
+            family,
+            label: family.map_or("NC", |f| f.name()).to_string(),
+            choices,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluation::EvalConfig;
+    use crate::evaluation::{verdict_for, EvalConfig};
+    use crate::tuning::{min_cr, tune_variable};
     use cc_grid::Resolution;
     use cc_model::Model;
 
@@ -150,34 +118,61 @@ mod tests {
         Evaluation::new(Model::new(Resolution::reduced(2, 2), 13), EvalConfig::quick(9))
     }
 
-    /// Restrict an evaluation to a few variables by building per-variable
-    /// hybrids manually (full 170-variable hybrids are exercised by the
-    /// repro harness; tests keep runtime sane).
-    fn mini_hybrid(eval: &Evaluation, family: Family, vars: &[&str]) -> HybridResult {
-        let ladder = Variant::ladder(family);
-        let mut choices = Vec::new();
-        for name in vars {
-            let var = eval.model.var_id(name).unwrap();
+    fn ids(eval: &Evaluation, names: &[&str]) -> Vec<usize> {
+        names.iter().map(|n| eval.model.var_id(n).unwrap()).collect()
+    }
+
+    /// One column of [`hybrid_methods`] over a few variables (full
+    /// 170-variable hybrids are exercised by the repro harness; tests
+    /// keep runtime sane).
+    fn column(eval: &Evaluation, family: Option<Family>, names: &[&str]) -> HybridResult {
+        hybrid_methods(eval, &ids(eval, names))
+            .into_iter()
+            .find(|h| h.family == family)
+            .unwrap()
+    }
+
+    /// Reference for the shared selection loop: every pick equals a
+    /// rung-by-rung `verdict_for` walk that stops at the first pass, and
+    /// the tuner's hybrid baseline is `min_cr` over those walks.
+    #[test]
+    fn ladder_picks_match_a_rung_by_rung_walk() {
+        let eval = tiny_eval();
+        let vars = ids(&eval, &["U", "FSDSC", "CLDTOT"]);
+        let hybrids = hybrid_methods(&eval, &vars);
+        assert_eq!(hybrids.len(), 5);
+        for (i, &var) in vars.iter().enumerate() {
             let ctx = eval.context(var);
-            let mut chosen = None;
-            for &variant in &ladder {
-                let verdict = verdict_for(&ctx, variant);
-                let ok = verdict.all_pass();
-                chosen = Some((variant, verdict));
-                if ok {
-                    break;
+            let mut walks = Vec::new();
+            for (h, family) in hybrids.iter().zip(Family::all()) {
+                assert_eq!(h.family, Some(family));
+                let mut walk = None;
+                for variant in Variant::ladder(family) {
+                    let verdict = verdict_for(&ctx, variant);
+                    let ok = verdict.all_pass();
+                    walk = Some(verdict);
+                    if ok {
+                        break;
+                    }
                 }
+                let walk = walk.unwrap();
+                assert_eq!(h.choices[i].variant, walk.variant);
+                assert_eq!(format!("{:?}", h.choices[i]), format!("{walk:?}"));
+                walks.push(walk);
             }
-            let (variant, verdict) = chosen.unwrap();
-            choices.push(HybridChoice { name: name.to_string(), variant, verdict });
+            let nc = verdict_for(&ctx, Variant::NetCdf4);
+            assert_eq!(format!("{:?}", hybrids[4].choices[i]), format!("{nc:?}"));
+            let tuned = tune_variable(&ctx);
+            let best = min_cr(&walks).unwrap();
+            assert_eq!(tuned.hybrid_variant, best.variant);
+            assert_eq!(tuned.hybrid_cr.to_bits(), best.cr.to_bits());
         }
-        HybridResult { family: Some(family), label: family.name().to_string(), choices }
     }
 
     #[test]
     fn fpzip_hybrid_always_passes() {
         let eval = tiny_eval();
-        let h = mini_hybrid(&eval, Family::Fpzip, &["U", "FSDSC", "PRECT"]);
+        let h = column(&eval, Some(Family::Fpzip), &["U", "FSDSC", "PRECT"]);
         // fpzip's ladder ends at lossless fpzip-32, so every choice passes.
         assert!(h.all_choices_pass());
         let (avg, best, worst) = h.cr_stats();
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn isabela_hybrid_falls_back_to_netcdf_when_needed() {
         let eval = tiny_eval();
-        let h = mini_hybrid(&eval, Family::Isabela, &["U", "CLDTOT"]);
+        let h = column(&eval, Some(Family::Isabela), &["U", "CLDTOT"]);
         assert!(h.all_choices_pass());
         for c in &h.choices {
             assert!(
@@ -202,7 +197,7 @@ mod tests {
     #[test]
     fn composition_sums_to_choice_count() {
         let eval = tiny_eval();
-        let h = mini_hybrid(&eval, Family::Apax, &["U", "FSDSC", "TS"]);
+        let h = column(&eval, Some(Family::Apax), &["U", "FSDSC", "TS"]);
         let total: usize = h.composition().iter().map(|(_, n)| n).sum();
         assert_eq!(total, 3);
     }
@@ -210,15 +205,9 @@ mod tests {
     #[test]
     fn nc_baseline_is_lossless_everywhere() {
         let eval = tiny_eval();
-        // Subset for speed: reuse mini pattern with the NC "ladder".
-        let mut choices = Vec::new();
-        for name in ["U", "SST"] {
-            let var = eval.model.var_id(name).unwrap();
-            let ctx = eval.context(var);
-            let verdict = verdict_for(&ctx, Variant::NetCdf4);
-            choices.push(HybridChoice { name: name.into(), variant: Variant::NetCdf4, verdict });
-        }
-        let h = HybridResult { family: None, label: "NC".into(), choices };
+        // SST carries fill values over land.
+        let h = column(&eval, None, &["U", "SST"]);
+        assert_eq!(h.label, "NC");
         assert!(h.all_choices_pass());
         assert!((h.avg_pearson() - 1.0).abs() < 1e-12);
         assert_eq!(h.avg_nrmse(), 0.0);

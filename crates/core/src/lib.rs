@@ -5,11 +5,12 @@
 //! * [`evaluation`] — builds per-variable ensemble contexts and scores any
 //!   codec variant with the four acceptance tests (Pearson ρ, RMSZ
 //!   ensemble, E_nmax ensemble, bias regression) of Section 4.
-//! * [`hybrid`] — the Section-5.4 per-variable customization: walk each
-//!   method family's variant ladder to the best-compressing variant that
-//!   passes all four tests (Tables 7 and 8).
-//! * [`tuning`] — the RMSZ-ensemble-guided GRIB2 decimal-scale search and
-//!   the generalized (family × parameter) auto-tuner it grew into.
+//! * [`tuning`] — the one per-variable selection loop: score a candidate
+//!   list once, then pick by the Section-5.4 ladder rule (the hybrids and
+//!   the RMSZ-ensemble-guided GRIB2 decimal-scale search) or by min CR
+//!   (the generalized (family × parameter) auto-tuner).
+//! * [`hybrid`] — the Section-5.4 per-variable customization: each method
+//!   family's ladder pick per variable (Tables 7 and 8).
 //! * [`energy`] — the global energy-budget drift check named as future
 //!   work in the paper's conclusions.
 //! * [`report`] — text/CSV rendering of every table and figure.
@@ -48,7 +49,5 @@ pub use evaluation::{
     verdict_for, verdicts_for, EvalConfig, Evaluation, TestTally, VariableContext,
     VariableVerdict,
 };
-pub use hybrid::{build_hybrid, build_nc_baseline, HybridChoice, HybridResult};
-pub use tuning::{
-    candidate_space, tune_decimal_scale, tune_variable, TuneReport, TunedD, TunedVariable,
-};
+pub use hybrid::{hybrid_methods, HybridResult};
+pub use tuning::{candidate_space, tune_variable, TuneReport, TunedVariable};

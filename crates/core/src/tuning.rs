@@ -1,68 +1,101 @@
-//! Ensemble-guided compression tuning.
+//! Ensemble-guided compression tuning: one scoring step, two pick rules.
 //!
-//! Section 5.4: "we were only able to achieve the more competitive results
-//! presented here for GRIB2 by using the RMSZ ensemble test as a guide for
-//! choosing an optimal D". [`tune_decimal_scale`] implements that original
-//! GRIB2-only search: starting from the magnitude-based `D`, scan a window
-//! of decimal scales and return the smallest `D` (fewest digits kept, best
-//! compression) whose verdict passes all four tests.
+//! Every per-variable selection in the crate runs the same loop: score a
+//! candidate list against one [`VariableContext`] with [`score`] (one
+//! batched [`verdicts_for`] call), then pick from the verdicts:
 //!
-//! [`tune_variable`] generalizes the idea to the full (family × parameter)
-//! space: enumerate every candidate configuration — the SZ error-bound
-//! ladder, the GRIB2 `D` window, fpzip precisions, ISABELA tolerances,
-//! APAX rates, and the NetCDF-4 fallback — filter by "passes all four
-//! ensemble tests", and pick the passing candidate with the best CR.
-//! Because the candidate space is a superset of every hand-built Section
-//! 5.4 ladder, the tuned choice can never compress worse than the
-//! hand-picked hybrid. The search is deterministic: candidates are tried
-//! in a fixed order and ties keep the earlier candidate, so the resulting
-//! [`TuneReport`] renders byte-identically across runs and worker counts.
+//! * [`ladder_pick`] — the Section 5.4 rule: walk a ladder from the most
+//!   aggressive rung and take the first that passes all four tests, else
+//!   the last rung (the lossless fallback). Tables 7–8 apply it to each
+//!   family's ladder ([`crate::hybrid::hybrid_methods`]); the GRIB2
+//!   decimal-scale search applies it to [`auto_d_window`] ("we were only
+//!   able to achieve the more competitive results presented here for
+//!   GRIB2 by using the RMSZ ensemble test as a guide for choosing an
+//!   optimal D").
+//! * [`min_cr`] — the tuner rule: the passing verdict with the best CR.
+//!   [`tune_variable`] applies it to the full (family × parameter)
+//!   [`candidate_space`] — the SZ error-bound ladder, the GRIB2 `D`
+//!   window, fpzip precisions, ISABELA tolerances, APAX rates, and the
+//!   NetCDF-4 fallback — and to the four family ladder picks, which form
+//!   the hand-picked hybrid baseline it is measured against. Because the
+//!   candidate space is a superset of every ladder, the tuned choice can
+//!   never compress worse than that baseline.
+//!
+//! The search is deterministic: candidates are scored in a fixed order
+//! and ties keep the earlier candidate, so the resulting [`TuneReport`]
+//! renders byte-identically across runs and worker counts.
 
-use crate::evaluation::{verdict_for, verdicts_for, Evaluation, VariableContext, VariableVerdict};
+use crate::evaluation::{verdicts_for, Evaluation, VariableContext, VariableVerdict};
 use crate::report::{cr_fmt, Table};
 use cc_codecs::{grib2::Grib2, Family, Variant};
 use cc_metrics::FieldStats;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Result of the ensemble-guided search for one variable.
-#[derive(Debug, Clone)]
-pub struct TunedD {
-    /// The magnitude-based starting point.
-    pub auto_d: i32,
-    /// The selected decimal scale, or `None` when no `D` in the window
-    /// passes (the variable must fall back to lossless).
-    pub best_d: Option<i32>,
-    /// The verdict at `best_d` (or at the last tried `D`).
-    pub verdict: VariableVerdict,
+/// Score each distinct candidate once: dedupe by display name in
+/// first-seen order, then make one batched [`verdicts_for`] call, which
+/// fans (candidate × sampled member) over the pool against this one
+/// context. Verdicts come back in that deduped order.
+pub fn score(ctx: &VariableContext, candidates: &[Variant]) -> Vec<VariableVerdict> {
+    let mut seen = BTreeSet::new();
+    let distinct: Vec<Variant> =
+        candidates.iter().copied().filter(|v| seen.insert(v.name())).collect();
+    verdicts_for(ctx, &distinct)
 }
 
-/// How far around the magnitude-based `D` the search scans.
+/// The Section 5.4 rule: the first rung of `ladder` whose verdict passes
+/// all four tests, else the last rung (the ladder's lossless fallback).
+/// Every rung must be among the `scored` verdicts.
+pub fn ladder_pick<'a>(scored: &'a [VariableVerdict], ladder: &[Variant]) -> &'a VariableVerdict {
+    let rung = |v: &Variant| {
+        let name = v.name();
+        scored
+            .iter()
+            .find(|s| s.variant.name() == name)
+            .unwrap_or_else(|| panic!("ladder rung {name} was not scored"))
+    };
+    let last = ladder.last().expect("a ladder is never empty");
+    ladder.iter().map(rung).find(|s| s.all_pass()).unwrap_or_else(|| rung(last))
+}
+
+/// The tuner rule: the verdict that passes all four tests with the
+/// smallest CR; ties keep the earlier candidate. `None` when nothing
+/// passes.
+pub fn min_cr(scored: &[VariableVerdict]) -> Option<&VariableVerdict> {
+    let mut best: Option<&VariableVerdict> = None;
+    for v in scored.iter().filter(|v| v.all_pass()) {
+        if best.is_none_or(|b| v.cr < b.cr) {
+            best = Some(v);
+        }
+    }
+    best
+}
+
+/// How far around the magnitude-based `D` the GRIB2 search scans.
 const SEARCH_BELOW: i32 = 2;
 const SEARCH_ABOVE: i32 = 6;
 
-/// Run the ensemble-guided decimal-scale search on a prepared variable
-/// context.
-pub fn tune_decimal_scale(ctx: &VariableContext) -> TunedD {
-    // Magnitude-based starting point from the first sampled member.
+/// The magnitude-based GRIB2 decimal scale, from the value range of the
+/// first sampled member.
+fn magnitude_d(ctx: &VariableContext) -> i32 {
     let sample = &ctx.fields[ctx.sample_idx[0]];
     let range = FieldStats::compute(sample).map(|s| s.range()).unwrap_or(0.0);
-    let auto_d = Grib2::auto_decimal_scale(range);
+    Grib2::auto_decimal_scale(range)
+}
 
-    let mut last: Option<VariableVerdict> = None;
+/// The ensemble-guided GRIB2 search window: fixed decimal scales from
+/// `SEARCH_BELOW` under the magnitude-based `D` to `SEARCH_ABOVE` over
+/// it (clamped to ±30, duplicates dropped), fewest digits kept first, so
+/// [`ladder_pick`] over it finds the best-compressing `D` that passes.
+pub fn auto_d_window(ctx: &VariableContext) -> Vec<Variant> {
+    let auto_d = magnitude_d(ctx);
+    let mut window: Vec<Variant> = Vec::new();
     for d in (auto_d - SEARCH_BELOW)..=(auto_d + SEARCH_ABOVE) {
-        let d = d.clamp(-30, 30);
-        let verdict = verdict_for(ctx, Variant::Grib2 { decimal_scale: Some(d) });
-        let pass = verdict.all_pass();
-        if pass {
-            return TunedD { auto_d, best_d: Some(d), verdict };
+        let v = Variant::Grib2 { decimal_scale: Some(d.clamp(-30, 30)) };
+        if !window.contains(&v) {
+            window.push(v);
         }
-        last = Some(verdict);
     }
-    TunedD {
-        auto_d,
-        best_d: None,
-        verdict: last.expect("search window is never empty"),
-    }
+    window
 }
 
 /// The tuned outcome for one variable: the best passing candidate and
@@ -79,8 +112,8 @@ pub struct TunedVariable {
     pub candidates: usize,
     /// How many candidates passed all four tests.
     pub passing: usize,
-    /// The best hand-picked hybrid choice across the paper's four
-    /// family ladders (first passing rung per ladder, best CR wins).
+    /// The best hand-picked hybrid choice: [`min_cr`] over the four
+    /// family [`ladder_pick`]s.
     pub hybrid_variant: Variant,
     /// CR of the hand-picked hybrid choice.
     pub hybrid_cr: f64,
@@ -93,111 +126,39 @@ pub struct TunedVariable {
 /// and the NetCDF-4 lossless fallback. A superset of every Section-5.4
 /// ladder, so the tuned CR is never worse than the hand-picked hybrid's.
 pub fn candidate_space(ctx: &VariableContext) -> Vec<Variant> {
-    let sample = &ctx.fields[ctx.sample_idx[0]];
-    let range = FieldStats::compute(sample).map(|s| s.range()).unwrap_or(0.0);
-    let auto_d = Grib2::auto_decimal_scale(range);
-
-    let mut cands = Vec::new();
-    for v in Variant::ladder(Family::Sz) {
-        if !v.is_lossless() {
-            cands.push(v);
-        }
-    }
+    let lossy = |f| Variant::ladder(f).into_iter().filter(|v| !v.is_lossless());
+    let mut cands: Vec<Variant> = lossy(Family::Sz).collect();
     cands.push(Variant::Grib2 { decimal_scale: None });
-    let mut seen_d = Vec::new();
-    for d in (auto_d - SEARCH_BELOW)..=(auto_d + SEARCH_ABOVE) {
-        let d = d.clamp(-30, 30);
-        if !seen_d.contains(&d) {
-            seen_d.push(d);
-            cands.push(Variant::Grib2 { decimal_scale: Some(d) });
-        }
-    }
+    cands.extend(auto_d_window(ctx));
     cands.extend(Variant::ladder(Family::Fpzip)); // 16/24/32, 32 lossless
-    for v in Variant::ladder(Family::Isabela) {
-        if !v.is_lossless() {
-            cands.push(v);
-        }
-    }
-    for v in Variant::ladder(Family::Apax) {
-        if !v.is_lossless() {
-            cands.push(v);
-        }
-    }
+    cands.extend(lossy(Family::Isabela));
+    cands.extend(lossy(Family::Apax));
     cands.push(Variant::NetCdf4);
     cands
 }
 
 /// Run the generalized enumerate-filter-minimize search on a prepared
-/// variable context.
+/// variable context: [`min_cr`] over the scored [`candidate_space`].
+/// Every family ladder rung is a candidate, so the hybrid baseline is
+/// picked from the same verdicts.
 pub fn tune_variable(ctx: &VariableContext) -> TunedVariable {
-    let cands = candidate_space(ctx);
-    // Evaluate each distinct candidate once, as a single batched sweep:
-    // `verdicts_for` fans (candidate × sampled member) over the pool
-    // against this one context instead of rebuilding per-candidate
-    // state. The cache also serves the hand-picked-hybrid walk below
-    // (every ladder rung is a candidate).
-    let mut order: Vec<(String, Variant)> = Vec::new();
-    let mut seen = BTreeSet::new();
-    for &v in &cands {
-        let name = v.name();
-        if seen.insert(name.clone()) {
-            order.push((name, v));
-        }
-    }
-    let distinct: Vec<Variant> = order.iter().map(|(_, v)| *v).collect();
-    let cache: BTreeMap<String, VariableVerdict> = order
-        .iter()
-        .map(|(name, _)| name.clone())
-        .zip(verdicts_for(ctx, &distinct))
+    let scored = score(ctx, &candidate_space(ctx));
+    let verdict = min_cr(&scored)
+        .expect("candidate space includes NetCDF-4, which always passes")
+        .clone();
+    let picks: Vec<VariableVerdict> = Family::all()
+        .into_iter()
+        .map(|f| ladder_pick(&scored, &Variant::ladder(f)).clone())
         .collect();
-
-    let mut best: Option<(Variant, &VariableVerdict)> = None;
-    let mut passing = 0usize;
-    for (name, v) in &order {
-        let verdict = &cache[name];
-        if verdict.all_pass() {
-            passing += 1;
-            let better = match best {
-                None => true,
-                Some((_, b)) => verdict.cr < b.cr,
-            };
-            if better {
-                best = Some((*v, verdict));
-            }
-        }
-    }
-    let (chosen, verdict) =
-        best.expect("candidate space includes NetCDF-4, which always passes");
-
-    // The hand-picked Section-5.4 baseline: per family, the first ladder
-    // rung that passes; across families, the best CR among those picks.
-    let mut hybrid: Option<(Variant, f64)> = None;
-    for family in Family::all() {
-        for v in Variant::ladder(family) {
-            let rung = &cache[&v.name()];
-            if rung.all_pass() {
-                let better = match hybrid {
-                    None => true,
-                    Some((_, cr)) => rung.cr < cr,
-                };
-                if better {
-                    hybrid = Some((v, rung.cr));
-                }
-                break;
-            }
-        }
-    }
-    let (hybrid_variant, hybrid_cr) =
-        hybrid.expect("every family ladder ends with a lossless fallback");
-
+    let hybrid = min_cr(&picks).expect("every family ladder ends with a lossless fallback");
     TunedVariable {
         name: verdict.name.clone(),
-        chosen,
-        verdict: verdict.clone(),
-        candidates: order.len(),
-        passing,
-        hybrid_variant,
-        hybrid_cr,
+        chosen: verdict.variant,
+        candidates: scored.len(),
+        passing: scored.iter().filter(|v| v.all_pass()).count(),
+        hybrid_variant: hybrid.variant,
+        hybrid_cr: hybrid.cr,
+        verdict,
     }
 }
 
@@ -347,12 +308,29 @@ mod tests {
         let eval = Evaluation::new(model, EvalConfig::quick(9));
         let u = eval.model.var_id("U").unwrap();
         let ctx = eval.context(u);
-        let tuned = tune_decimal_scale(&ctx);
+        let window = auto_d_window(&ctx);
+        let pick = ladder_pick(&score(&ctx, &window), &window).clone();
         // U is smooth with modest range; some D must pass.
-        let d = tuned.best_d.expect("expected a passing D for U");
-        assert!(tuned.verdict.all_pass());
+        assert!(pick.all_pass(), "expected a passing D for U: {pick:?}");
         // More precision than auto may be needed, never drastically less.
-        assert!(d >= tuned.auto_d - SEARCH_BELOW && d <= tuned.auto_d + SEARCH_ABOVE);
+        let auto_d = magnitude_d(&ctx);
+        let Variant::Grib2 { decimal_scale: Some(d) } = pick.variant else {
+            panic!("window rungs are fixed-D GRIB2: {:?}", pick.variant)
+        };
+        assert!(d >= auto_d - SEARCH_BELOW && d <= auto_d + SEARCH_ABOVE);
+    }
+
+    #[test]
+    fn ladder_pick_falls_back_to_the_last_rung_when_nothing_passes() {
+        let model = Model::new(Resolution::reduced(2, 2), 13);
+        let eval = Evaluation::new(model, EvalConfig::quick(9));
+        let ctx = eval.context(eval.model.var_id("TS").unwrap());
+        // D = -2 and -1 quantize temperature to 100 K / 10 K steps.
+        let ladder = [-2, -1].map(|d| Variant::Grib2 { decimal_scale: Some(d) });
+        let scored = score(&ctx, &ladder);
+        assert!(scored.iter().all(|v| !v.all_pass()), "coarse quantization must fail");
+        assert_eq!(ladder_pick(&scored, &ladder).variant, ladder[1]);
+        assert!(min_cr(&scored).is_none(), "min_cr picks only passing verdicts");
     }
 
     #[test]
@@ -435,11 +413,14 @@ mod tests {
         let eval = Evaluation::new(model, EvalConfig::quick(9));
         let v = eval.model.var_id("FSDSC").unwrap();
         let ctx = eval.context(v);
-        let tuned = tune_decimal_scale(&ctx);
-        if let Some(_d) = tuned.best_d {
-            for &(zo, zr) in &tuned.verdict.sample_rmsz {
+        let window = auto_d_window(&ctx);
+        let pick = ladder_pick(&score(&ctx, &window), &window).clone();
+        if pick.all_pass() {
+            for &(zo, zr) in &pick.sample_rmsz {
                 assert!((zo - zr).abs() <= cc_pvt::RMSZ_DIFF_MAX + 1e-12);
             }
+        } else {
+            assert_eq!(pick.variant, *window.last().unwrap(), "no pass: last rung");
         }
     }
 }

@@ -4,15 +4,36 @@
 //! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+/// Counts allocations per thread, so the test harness's other threads
+/// (running the other tests of this binary) never land in a
+/// measurement window.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it never
+    // allocates, so the allocator can use it without recursing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations `f` makes on the calling thread.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting only bumps a
+// thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -21,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,24 +69,32 @@ fn disabled_recording_allocates_nothing() {
     // the measured window; the gate check never looks at it.
     let dyn_name = String::from("zero_alloc.dyn.section");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        let _s = cc_obs::span("zero_alloc.section");
-        let _d = cc_obs::span_dyn(&dyn_name);
-        cc_obs::counter_add("zero_alloc.counter", i);
-        cc_obs::counter_inc("zero_alloc.counter");
-        cc_obs::observe("zero_alloc.hist", i);
-        // Per-opcode latency recording is the same gated entry point
-        // under a second name — still one relaxed load when off.
-        cc_obs::observe("zero_alloc.req_us.ping", i);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let allocs = allocs_during(|| {
+        for i in 0..10_000u64 {
+            let _s = cc_obs::span("zero_alloc.section");
+            let _d = cc_obs::span_dyn(&dyn_name);
+            cc_obs::counter_add("zero_alloc.counter", i);
+            cc_obs::counter_inc("zero_alloc.counter");
+            cc_obs::observe("zero_alloc.hist", i);
+            // Per-opcode latency recording is the same gated entry point
+            // under a second name — still one relaxed load when off.
+            cc_obs::observe("zero_alloc.req_us.ping", i);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "disabled-path recording must not allocate ({}) allocations observed",
-        after - before
+        allocs, 0,
+        "disabled-path recording must not allocate ({allocs}) allocations observed"
     );
+}
+
+#[test]
+fn measuring_window_counts_allocations_on_its_thread() {
+    // Positive control for the zero above: an allocation made on the
+    // measuring thread inside the window is counted.
+    let allocs = allocs_during(|| {
+        std::hint::black_box(Vec::<u8>::with_capacity(64));
+    });
+    assert!(allocs >= 1, "an allocation in the window must be counted");
 }
 
 #[test]

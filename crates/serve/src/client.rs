@@ -34,10 +34,10 @@
 //! request itself.
 
 use crate::wire::{
-    self, decode_error, decode_span_tree, read_frame, try_encode_frame_v, ArchivePutRequest,
+    self, decode_error, decode_span_tree, read_frame, try_encode_frame, ArchivePutRequest,
     ArchivePutResponse, CompressRequest, DecompressRequest, ErrCode, EvalRequest, EvalResponse,
     FetchSliceRequest, Frame, Opcode, TraceContext, WireError, OP_BUSY, OP_ERROR, OP_STREAM,
-    OP_TELEMETRY, VERSION,
+    OP_TELEMETRY,
 };
 use cc_codecs::Layout;
 use cc_obs::{HistogramSnapshot, MetricsSnapshot, SpanNode};
@@ -211,7 +211,7 @@ impl Client {
     ) -> Result<u64, ClientError> {
         let req_id = self.next_id;
         self.next_id += 1;
-        let frame = try_encode_frame_v(VERSION, trace, opcode as u8, req_id, payload)
+        let frame = try_encode_frame(trace, opcode as u8, req_id, payload)
             .map_err(ClientError::Wire)?;
         self.stream
             .write_all(&frame)
@@ -427,19 +427,12 @@ impl Client {
     }
 
     /// Fetch the server's metrics as a typed [`StatsReport`] parsed
-    /// from the structured `cc-stats/1` body.
+    /// from the `cc-stats/1` body.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        let payload = self.call(Opcode::Stats, b"json")?;
+        let payload = self.call(Opcode::Stats, &[])?;
         let body = std::str::from_utf8(&payload)
             .map_err(|_| ClientError::Protocol("non-UTF-8 stats response".into()))?;
         StatsReport::parse(body).map_err(ClientError::Protocol)
-    }
-
-    /// Fetch the legacy `name value` text dump of the server counters.
-    pub fn stats_text(&mut self) -> Result<String, ClientError> {
-        let payload = self.call(Opcode::Stats, b"text")?;
-        String::from_utf8(payload)
-            .map_err(|_| ClientError::Protocol("non-UTF-8 stats response".into()))
     }
 
     /// Ask the server to drain and stop.

@@ -60,10 +60,10 @@
 //! through the usual `--trace` / `TRACE.json` path.
 
 use crate::wire::{
-    self, encode_error, encode_frame_v, encode_span_tree, try_encode_frame_v, ArchivePutRequest,
+    self, encode_error, encode_frame, encode_span_tree, try_encode_frame, ArchivePutRequest,
     ArchivePutResponse, CompressRequest, DecompressRequest, ErrCode, EvalRequest, EvalResponse,
     FetchSliceRequest, Frame, FrameDecoder, Opcode, TraceContext, WireError,
-    MAX_TELEMETRY_NODES, OP_BUSY, OP_ERROR, OP_STREAM, OP_TELEMETRY, VERSION_MIN,
+    MAX_TELEMETRY_NODES, OP_BUSY, OP_ERROR, OP_STREAM, OP_TELEMETRY,
 };
 use cc_archive::{ArchiveError, ArchiveReader, FileSource};
 use cc_obs::SpanNode;
@@ -168,7 +168,9 @@ const READ_PASSES: usize = 4;
 /// Write slices attempted per connection per tick (fairness bound).
 const WRITE_PASSES: usize = 8;
 
-/// Counters surfaced by the `Stats` opcode (and in `TRACE.json`).
+/// Counters registered at server start, so the `Stats` reply (and
+/// `TRACE.json`) lists them before they first move; `ccc remote stats`
+/// prints these as `name value` lines.
 pub const STAT_COUNTERS: &[&str] = &[
     "serve.accept",
     "serve.busy",
@@ -272,8 +274,8 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         cc_obs::set_metrics_enabled(true);
         // Pre-register the contract counters so `cc-stats/1` bodies
-        // (built from the registry, unlike the fixed-list text form)
-        // list them even before first increment.
+        // (built from the registry) list them even before first
+        // increment.
         for name in STAT_COUNTERS {
             cc_obs::counter(name);
         }
@@ -382,9 +384,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     cc_obs::counter_inc("serve.busy");
                     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
                     let mut stream = stream;
-                    // The peer has not spoken yet, so its version is
-                    // unknown; v1 bytes parse under every version.
-                    let _ = stream.write_all(&encode_frame_v(VERSION_MIN, OP_BUSY, 0, &[]));
+                    let _ = stream.write_all(&encode_frame(OP_BUSY, 0, &[]));
                     continue;
                 }
                 if stream.set_nonblocking(true).is_err() {
@@ -441,9 +441,6 @@ struct Pending {
 struct Conn {
     stream: TcpStream,
     dec: FrameDecoder,
-    /// Version of the most recent request frame: replies echo it, so a
-    /// `cc-wire/1` client sees byte-identical `/1` replies.
-    wire_version: u8,
     /// When the decoder last left a frame boundary (the decode span's
     /// start for traced requests).
     read_start_ns: u64,
@@ -478,7 +475,6 @@ impl Conn {
         Conn {
             stream,
             dec: FrameDecoder::new(max_payload),
-            wire_version: VERSION_MIN,
             read_start_ns: 0,
             pending: VecDeque::new(),
             inflight: false,
@@ -541,7 +537,7 @@ fn shard_loop(idx: usize, shared: &Shared) {
                         // A streamed piece: encode and queue immediately
                         // so it starts flowing before the terminal frame
                         // (or even the next piece) exists.
-                        c.outq.push_back(encode_frame_v(c.wire_version, OP_STREAM, req_id, &bytes));
+                        c.outq.push_back(encode_frame(OP_STREAM, req_id, &bytes));
                     }
                 }
                 ShardMsg::Done { conn, req_id, opcode, payload, telemetry } => {
@@ -549,11 +545,9 @@ fn shard_loop(idx: usize, shared: &Shared) {
                         c.inflight = false;
                         c.last_progress = Instant::now();
                         let recv_ns = cc_obs::now_ns();
-                        let version = c.wire_version;
-                        let frame = try_encode_frame_v(version, None, opcode, req_id, &payload)
+                        let frame = try_encode_frame(None, opcode, req_id, &payload)
                             .unwrap_or_else(|_| {
-                                encode_frame_v(
-                                    version,
+                                encode_frame(
                                     OP_ERROR,
                                     req_id,
                                     &encode_error(
@@ -585,8 +579,7 @@ fn shard_loop(idx: usize, shared: &Shared) {
                             // momentarily inconsistent; clamping restores
                             // the containment invariant cheaply.
                             cc_obs::trace::clamp_into(&mut root, t.root_start_ns, end_ns);
-                            c.outq.push_back(encode_frame_v(
-                                version,
+                            c.outq.push_back(encode_frame(
                                 OP_TELEMETRY,
                                 req_id,
                                 &encode_span_tree(&root),
@@ -702,8 +695,7 @@ fn step_read(
                     // EOF inside a frame: same truncation error the
                     // blocking path reported.
                     cc_obs::counter_inc("serve.frame_corrupt");
-                    c.fatal = Some(encode_frame_v(
-                        c.wire_version,
+                    c.fatal = Some(encode_frame(
                         OP_ERROR,
                         0,
                         &encode_error(ErrCode::BadPayload, &WireError::Truncated.to_string()),
@@ -727,8 +719,7 @@ fn step_read(
                         // answer one well-formed error frame (after any
                         // requests completed earlier) and close.
                         cc_obs::counter_inc("serve.frame_corrupt");
-                        c.fatal = Some(encode_frame_v(
-                            c.wire_version,
+                        c.fatal = Some(encode_frame(
                             OP_ERROR,
                             0,
                             &encode_error(ErrCode::BadPayload, &e.to_string()),
@@ -760,8 +751,7 @@ fn step_read(
         c.served += 1;
         if c.served > cfg.max_requests_per_conn {
             cc_obs::counter_inc("serve.request_cap_hit");
-            c.fatal = Some(encode_frame_v(
-                frame.version,
+            c.fatal = Some(encode_frame(
                 OP_ERROR,
                 frame.req_id,
                 &encode_error(ErrCode::RequestCap, "per-connection request cap reached"),
@@ -769,9 +759,6 @@ fn step_read(
             c.closing = true;
             break;
         }
-        // Per-frame version negotiation: replies echo the version of
-        // the request they answer.
-        c.wire_version = frame.version;
         let decoded_ns = if frame.trace.is_some() { cc_obs::now_ns() } else { 0 };
         c.pending.push_back(Pending { read_start_ns: c.read_start_ns, decoded_ns, frame });
     }
@@ -952,7 +939,10 @@ fn handle_request(
         Opcode::FetchSlice => {
             handle_fetch_slice(&frame.payload, shared, emit).map(|p| (op.reply(), p))
         }
-        Opcode::Stats => Ok((op.reply(), stats_body(frame, shared))),
+        Opcode::Stats => Ok((
+            op.reply(),
+            stats_json(shared.started.elapsed().as_micros() as u64).into_bytes(),
+        )),
         Opcode::Shutdown => {
             shared.begin_shutdown();
             Ok((op.reply(), Vec::new()))
@@ -1133,20 +1123,6 @@ fn handle_fetch_slice(
     Ok(encoded)
 }
 
-/// The legacy `Stats` response body: one `name value` line per counter
-/// in [`STAT_COUNTERS`] (reads are ungated, so this works even when
-/// metric recording was toggled off after start).
-pub fn stats_text() -> String {
-    let mut out = String::new();
-    for name in STAT_COUNTERS {
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&cc_obs::counter_value(name).to_string());
-        out.push('\n');
-    }
-    out
-}
-
 /// The `cc-stats/1` structured `Stats` body: every registered counter
 /// and histogram (full sparse log2 buckets) plus server uptime. Shapes
 /// match the `counters`/`histograms` sections of `cc-trace/1` so the
@@ -1193,21 +1169,4 @@ pub fn stats_json(uptime_us: u64) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Select the `Stats` body for one request. Explicit payloads force a
-/// form (`b"json"` / `b"text"`); an empty payload keeps cc-wire/1
-/// clients on the legacy text dump and gives cc-wire/2 clients the
-/// structured `cc-stats/1` JSON.
-fn stats_body(frame: &Frame, shared: &Shared) -> Vec<u8> {
-    let want_text = match frame.payload.as_slice() {
-        b"text" => true,
-        b"json" => false,
-        _ => frame.version < 2,
-    };
-    if want_text {
-        stats_text().into_bytes()
-    } else {
-        stats_json(shared.started.elapsed().as_micros() as u64).into_bytes()
-    }
 }

@@ -1,26 +1,23 @@
-//! The `cc-wire/2` framed binary protocol (version-negotiated; `/1`
-//! peers are still served).
+//! The `cc-wire/2` framed binary protocol.
 //!
 //! Every message — request or response — is one frame:
 //!
 //! | bytes | field | notes |
 //! |---|---|---|
 //! | 0..4 | magic `b"CCW1"` | protocol identity (unchanged across minor versions) |
-//! | 4 | version | low 7 bits: `1` or `2`; bit 7 ([`FLAG_TRACE`], v2 only): trace extension present |
+//! | 4 | version | low 7 bits: `2`; bit 7 ([`FLAG_TRACE`]): trace extension present |
 //! | 5 | opcode | request `0x01..=0x06`, response `op \| 0x80`, `0xFC` Telemetry, `0xFD` Stream, `0xFE` Busy, `0xFF` Error |
 //! | 6..14 | request id | `u64` LE, echoed verbatim in the response so clients can pipeline |
 //! | 14..18 | payload length | `u32` LE, excludes the trace extension |
 //! | 18..42 | trace extension | **only if [`FLAG_TRACE`]**: 128-bit trace id + 64-bit parent span id, LE |
 //! | …   | payload | opcode-specific |
 //!
-//! Version negotiation is per frame and implicit: the server accepts
-//! versions 1 and 2 and answers each request with the version the
-//! request carried, so a `cc-wire/1` client sees byte-identical `/1`
-//! replies. A v2 frame without the trace flag is byte-identical to the
-//! v1 layout except for the version byte — tracing off costs zero
-//! extra bytes. When the flag is set, a traced request additionally
-//! receives one trailing [`OP_TELEMETRY`] frame after its terminal
-//! reply, carrying the server-side span subtree for stitching.
+//! Every frame carries version 2; any other version byte is
+//! [`WireError::BadVersion`]. A frame without the trace flag is the bare
+//! 18-byte header plus payload — tracing off costs zero extra bytes.
+//! When the flag is set, a traced request additionally receives one
+//! trailing [`OP_TELEMETRY`] frame after its terminal reply, carrying
+//! the server-side span subtree for stitching.
 //!
 //! Responses larger than the server's stream threshold are split into
 //! zero or more [`OP_STREAM`] continuation frames followed by one
@@ -42,12 +39,10 @@ use std::io::Read;
 
 /// Frame magic: `cc-wire`, major version 1.
 pub const MAGIC: [u8; 4] = *b"CCW1";
-/// Current protocol version (`cc-wire/2`).
+/// Protocol version (`cc-wire/2`), the only one accepted.
 pub const VERSION: u8 = 2;
-/// Oldest version still accepted.
-pub const VERSION_MIN: u8 = 1;
 /// Version-byte flag: a [`TRACE_EXT_LEN`]-byte trace-context extension
-/// follows the header. Only legal with version 2.
+/// follows the header.
 pub const FLAG_TRACE: u8 = 0x80;
 /// Trace extension length: 128-bit trace id + 64-bit parent span id.
 pub const TRACE_EXT_LEN: usize = 24;
@@ -72,7 +67,7 @@ pub enum Opcode {
     Decompress = 0x03,
     /// Quick-scale four-test verdict: [`EvalRequest`] → [`EvalResponse`].
     Evaluate = 0x04,
-    /// Server counter snapshot; empty payload → UTF-8 `name value` lines.
+    /// Server metrics snapshot; any payload → the `cc-stats/1` JSON body.
     Stats = 0x05,
     /// Graceful drain: stop accepting, finish queued work, exit.
     Shutdown = 0x06,
@@ -220,13 +215,11 @@ impl TraceContext {
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Negotiated version this frame was encoded under (1 or 2).
-    pub version: u8,
     /// Raw opcode byte (requests validate via [`Opcode::from_u8`]).
     pub opcode: u8,
     /// Request id, echoed in responses.
     pub req_id: u64,
-    /// Trace-context extension, if the frame carried one (v2 only).
+    /// Trace-context extension, if the frame carried one.
     pub trace: Option<TraceContext>,
     /// Opcode-specific payload.
     pub payload: Vec<u8>,
@@ -305,19 +298,16 @@ impl WireError {
 /// Largest payload one frame can carry: the length field is `u32`.
 pub const MAX_FRAME_PAYLOAD: usize = u32::MAX as usize;
 
-/// Encode one frame under an explicit version with an optional trace
-/// extension, rejecting payloads the `u32` length field cannot
-/// represent — encoding such a payload with a truncated length would
-/// emit a frame whose declared length disagrees with its body. A trace
-/// context forces version 2 (v1 has no extension slot).
-pub fn try_encode_frame_v(
-    version: u8,
+/// Encode one frame with an optional trace extension, rejecting
+/// payloads the `u32` length field cannot represent — encoding such a
+/// payload with a truncated length would emit a frame whose declared
+/// length disagrees with its body.
+pub fn try_encode_frame(
     trace: Option<TraceContext>,
     opcode: u8,
     req_id: u64,
     payload: &[u8],
 ) -> Result<Vec<u8>, WireError> {
-    debug_assert!((VERSION_MIN..=VERSION).contains(&version), "bad wire version {version}");
     if payload.len() > MAX_FRAME_PAYLOAD {
         return Err(WireError::TooLarge {
             declared: payload.len() as u64,
@@ -327,7 +317,7 @@ pub fn try_encode_frame_v(
     let ext = if trace.is_some() { TRACE_EXT_LEN } else { 0 };
     let mut out = Vec::with_capacity(HEADER_LEN + ext + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.push(if trace.is_some() { VERSION | FLAG_TRACE } else { version });
+    out.push(if trace.is_some() { VERSION | FLAG_TRACE } else { VERSION });
     out.push(opcode);
     out.extend_from_slice(&req_id.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -338,43 +328,16 @@ pub fn try_encode_frame_v(
     Ok(out)
 }
 
-/// Encode one current-version frame without a trace extension.
-pub fn try_encode_frame(opcode: u8, req_id: u64, payload: &[u8]) -> Result<Vec<u8>, WireError> {
-    try_encode_frame_v(VERSION, None, opcode, req_id, payload)
-}
-
-/// Encode one frame. Panics if the payload exceeds
+/// Encode one untraced frame. Panics if the payload exceeds
 /// [`MAX_FRAME_PAYLOAD`]; callers handling untrusted or unbounded sizes
 /// use [`try_encode_frame`].
 pub fn encode_frame(opcode: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
-    encode_frame_v(VERSION, opcode, req_id, payload)
-}
-
-/// Encode one frame under an explicit version (replies echo the
-/// version of the request they answer, so v1 clients keep seeing v1
-/// bytes). Panics on an oversized payload, like [`encode_frame`].
-pub fn encode_frame_v(version: u8, opcode: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
     assert!(
         payload.len() <= MAX_FRAME_PAYLOAD,
         "frame payload {} exceeds the u32 length field",
         payload.len()
     );
-    try_encode_frame_v(version, None, opcode, req_id, payload).expect("length checked")
-}
-
-/// Encode one traced request frame (v2 + [`FLAG_TRACE`] + extension).
-pub fn encode_frame_traced(
-    opcode: u8,
-    req_id: u64,
-    trace: TraceContext,
-    payload: &[u8],
-) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_FRAME_PAYLOAD,
-        "frame payload {} exceeds the u32 length field",
-        payload.len()
-    );
-    try_encode_frame_v(VERSION, Some(trace), opcode, req_id, payload).expect("length checked")
+    try_encode_frame(None, opcode, req_id, payload).expect("length checked")
 }
 
 /// Read exactly `buf.len()` bytes, mapping a zero-byte first read to
@@ -402,7 +365,6 @@ fn read_full(r: &mut dyn Read, buf: &mut [u8], at_boundary: bool) -> Result<(), 
 /// A validated frame header.
 #[derive(Debug, Clone, Copy)]
 struct Header {
-    version: u8,
     traced: bool,
     opcode: u8,
     req_id: u64,
@@ -411,26 +373,24 @@ struct Header {
 
 /// Validate a raw header. The single place header invariants live —
 /// [`read_frame`] and [`FrameDecoder`] both go through it. Accepts
-/// versions [`VERSION_MIN`]..=[`VERSION`]; the [`FLAG_TRACE`] bit is
-/// only legal on version 2 (v1 has no extension slot, so a flagged v1
-/// byte is damage, not negotiation).
+/// [`VERSION`] with or without [`FLAG_TRACE`]; every other version byte
+/// is damage.
 fn parse_header(header: &[u8; HEADER_LEN], max_payload: usize) -> Result<Header, WireError> {
     if header[0..4] != MAGIC {
         return Err(WireError::BadMagic);
     }
     let raw = header[4];
-    let version = raw & !FLAG_TRACE;
-    let traced = raw & FLAG_TRACE != 0;
-    if !(VERSION_MIN..=VERSION).contains(&version) || (traced && version != VERSION) {
+    if raw & !FLAG_TRACE != VERSION {
         return Err(WireError::BadVersion(raw));
     }
+    let traced = raw & FLAG_TRACE != 0;
     let opcode = header[5];
     let req_id = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
     let declared = u32::from_le_bytes(header[14..18].try_into().expect("4 bytes")) as usize;
     if declared > max_payload {
         return Err(WireError::TooLarge { declared: declared as u64, cap: max_payload });
     }
-    Ok(Header { version, traced, opcode, req_id, declared })
+    Ok(Header { traced, opcode, req_id, declared })
 }
 
 /// Read one frame. Total over untrusted bytes: the declared payload
@@ -455,7 +415,7 @@ pub fn read_frame(r: &mut dyn Read, max_payload: usize) -> Result<Frame, WireErr
         payload.resize(start + take, 0);
         read_full(r, &mut payload[start..], false)?;
     }
-    Ok(Frame { version: h.version, opcode: h.opcode, req_id: h.req_id, trace, payload })
+    Ok(Frame { opcode: h.opcode, req_id: h.req_id, trace, payload })
 }
 
 /// Incremental frame decoder for nonblocking sockets: feed whatever
@@ -541,7 +501,6 @@ impl FrameDecoder {
                         return Ok(());
                     }
                     out.push(Frame {
-                        version: h.version,
                         opcode: h.opcode,
                         req_id: h.req_id,
                         trace: h.traced.then(|| TraceContext::decode(&self.ext)),
@@ -1102,12 +1061,29 @@ mod tests {
             read_frame(&mut bad_magic.as_slice(), 1024),
             Err(WireError::BadMagic)
         ));
-        let mut bad_version = good.clone();
-        bad_version[4] = 9;
-        assert!(matches!(
-            read_frame(&mut bad_version.as_slice(), 1024),
-            Err(WireError::BadVersion(9))
-        ));
+        // Every version byte but 2, traced or not, is damage in both
+        // decoders: version 1 plain or flagged, 0, 3, 9, a bare flag.
+        for raw in [0u8, 1, 1 | FLAG_TRACE, 3, 9, FLAG_TRACE] {
+            let mut bad_version = good.clone();
+            bad_version[4] = raw;
+            assert!(
+                matches!(
+                    read_frame(&mut bad_version.as_slice(), 1024),
+                    Err(WireError::BadVersion(v)) if v == raw
+                ),
+                "version byte {raw:#04x} must be BadVersion"
+            );
+            let mut dec = FrameDecoder::new(1024);
+            let mut got = Vec::new();
+            assert!(
+                matches!(
+                    dec.feed(&bad_version, &mut got),
+                    Err(WireError::BadVersion(v)) if v == raw
+                ),
+                "version byte {raw:#04x} must be BadVersion in FrameDecoder"
+            );
+            assert!(got.is_empty());
+        }
         let truncated = &good[..HEADER_LEN - 3];
         assert!(matches!(
             read_frame(&mut &*truncated, 1024),
@@ -1212,8 +1188,8 @@ mod tests {
         // A 4 GiB buffer is too big to materialize in a test, so check
         // the guard by contract: the boundary below the cap encodes, a
         // synthetic length above it is refused before any copy.
-        assert!(try_encode_frame(Opcode::Ping as u8, 1, &[]).is_ok());
-        match try_encode_frame(OP_STREAM, 1, &[0u8; 16]) {
+        assert!(try_encode_frame(None, Opcode::Ping as u8, 1, &[]).is_ok());
+        match try_encode_frame(None, OP_STREAM, 1, &[0u8; 16]) {
             Ok(frame) => assert_eq!(frame.len(), HEADER_LEN + 16),
             Err(e) => panic!("small frame must encode: {e}"),
         }
@@ -1297,48 +1273,23 @@ mod tests {
     }
 
     #[test]
-    fn both_wire_versions_decode_and_survive_reencode() {
-        for version in [1u8, 2] {
-            let bytes = encode_frame_v(version, Opcode::Ping as u8, 11, &[3, 4]);
-            assert_eq!(bytes[4], version);
-            let frame = read_frame(&mut bytes.as_slice(), 1024).unwrap();
-            assert_eq!(frame.version, version);
-            assert_eq!(frame.trace, None);
-            assert_eq!(
-                encode_frame_v(frame.version, frame.opcode, frame.req_id, &frame.payload),
-                bytes,
-                "v{version} frames must re-encode byte-identically"
-            );
-        }
-    }
-
-    #[test]
     fn untraced_v2_frame_costs_zero_extra_bytes() {
-        // The disabled-path wire pin: v2 without the trace flag is the
-        // v1 layout with a different version byte — same length, and
-        // byte-identical everywhere but byte 4.
+        // The disabled-path wire pin: without the trace flag a frame is
+        // the bare header plus payload.
         let payload = [9u8; 37];
-        let v1 = encode_frame_v(1, Opcode::Compress as u8, 5, &payload);
         let v2 = encode_frame(Opcode::Compress as u8, 5, &payload);
         assert_eq!(v2.len(), HEADER_LEN + payload.len());
-        assert_eq!(v1.len(), v2.len());
-        for (i, (a, b)) in v1.iter().zip(&v2).enumerate() {
-            if i == 4 {
-                assert_eq!((*a, *b), (1, 2));
-            } else {
-                assert_eq!(a, b, "byte {i} differs between v1 and v2");
-            }
-        }
+        assert_eq!(v2[4], VERSION);
+        assert_eq!(v2, try_encode_frame(None, Opcode::Compress as u8, 5, &payload).unwrap());
     }
 
     #[test]
     fn trace_extension_roundtrips_at_any_split() {
         let ctx = TraceContext { trace_id: 0x0123_4567_89ab_cdef_1122_3344_5566_7788, parent_span: 42 };
-        let bytes = encode_frame_traced(Opcode::Evaluate as u8, 77, ctx, &[1, 2, 3]);
+        let bytes = try_encode_frame(Some(ctx), Opcode::Evaluate as u8, 77, &[1, 2, 3]).unwrap();
         assert_eq!(bytes.len(), HEADER_LEN + TRACE_EXT_LEN + 3);
         assert_eq!(bytes[4], VERSION | FLAG_TRACE);
         let frame = read_frame(&mut bytes.as_slice(), 1024).unwrap();
-        assert_eq!(frame.version, VERSION);
         assert_eq!(frame.trace, Some(ctx));
         assert_eq!(frame.payload, vec![1, 2, 3]);
         // The incremental decoder must agree at every granularity,
@@ -1353,16 +1304,6 @@ mod tests {
             assert_eq!(got.len(), 1, "step {step}");
             assert_eq!(got[0], frame, "step {step}");
         }
-    }
-
-    #[test]
-    fn trace_flag_on_v1_is_damage() {
-        let mut bytes = encode_frame_v(1, Opcode::Ping as u8, 1, &[]);
-        bytes[4] = 1 | FLAG_TRACE;
-        assert!(matches!(
-            read_frame(&mut bytes.as_slice(), 1024),
-            Err(WireError::BadVersion(v)) if v == 1 | FLAG_TRACE
-        ));
     }
 
     #[test]

@@ -158,15 +158,6 @@ fn stats_and_remote_shutdown_work() {
             "stats must list {needle}:\n{stats:?}"
         );
     }
-    // The legacy text form is still served on request: every line is
-    // `name value`.
-    let text = client.stats_text().expect("stats text");
-    for line in text.lines() {
-        let mut parts = line.split(' ');
-        assert!(parts.next().is_some());
-        parts.next().expect("value").parse::<u64>().expect("numeric value");
-    }
-
     // Remote shutdown acks, then the server drains and join returns.
     client.shutdown_server().expect("shutdown ack");
     drop(client);

@@ -9,7 +9,7 @@
 use climate_compress::codecs::grib2::Grib2;
 use climate_compress::codecs::Variant;
 use climate_compress::core::evaluation::{verdict_for, EvalConfig, Evaluation};
-use climate_compress::core::tuning::tune_decimal_scale;
+use climate_compress::core::tuning::{auto_d_window, ladder_pick, score};
 use climate_compress::grid::Resolution;
 use climate_compress::model::Model;
 
@@ -52,15 +52,16 @@ fn main() {
 
     // 3. The RMSZ-ensemble-guided search.
     println!("\nstrategy 3: RMSZ-ensemble-guided search (the paper's competitive setting)");
-    let tuned = tune_decimal_scale(&ctx);
-    match tuned.best_d {
-        Some(d) => println!(
-            "  selected D={d} (auto was {}): CR {:.2}, all-tests pass = {}",
-            tuned.auto_d,
-            tuned.verdict.cr,
-            tuned.verdict.all_pass()
+    let window = auto_d_window(&ctx);
+    let scored = score(&ctx, &window);
+    let pick = ladder_pick(&scored, &window);
+    match pick.variant {
+        Variant::Grib2 { decimal_scale: Some(d) } if pick.all_pass() => println!(
+            "  selected D={d} (auto was {auto_d}): CR {:.2}, all-tests pass = {}",
+            pick.cr,
+            pick.all_pass()
         ),
-        None => println!(
+        _ => println!(
             "  no D in the search window passes all tests -> fall back to NetCDF-4 lossless \
              (exactly the hybrid's fallback path)"
         ),

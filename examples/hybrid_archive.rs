@@ -13,7 +13,8 @@
 //! ```
 
 use climate_compress::codecs::{Family, Layout, Variant};
-use climate_compress::core::evaluation::{verdict_for, EvalConfig, Evaluation};
+use climate_compress::core::evaluation::{EvalConfig, Evaluation};
+use climate_compress::core::tuning::{ladder_pick, score};
 use climate_compress::grid::Resolution;
 use climate_compress::model::Model;
 use climate_compress::ncdf::{AttrValue, DType, Dataset, FilterPipeline};
@@ -48,13 +49,7 @@ fn main() {
     println!("{:<10} {:>10} {:>8} {:>10} {:>10}", "variable", "variant", "CR", "raw B", "stored B");
     for var in 0..nvars.min(eval.model.registry().len()) {
         let ctx = eval.context(var);
-        let mut chosen = *ladder.last().unwrap();
-        for &variant in &ladder {
-            if verdict_for(&ctx, variant).all_pass() {
-                chosen = variant;
-                break;
-            }
-        }
+        let chosen = ladder_pick(&score(&ctx, &ladder), &ladder).variant;
         // Compress the member's field with the chosen variant and store the
         // *codec stream* as raw bytes in the container, tagged with enough
         // metadata to reconstruct.

@@ -521,11 +521,13 @@ fn remote(args: &[String], flags: &HashMap<String, String>) {
         }
         "stats" => {
             let mut client = connect(flags);
-            let text = client.stats_text().unwrap_or_else(|e| {
+            let report = client.stats().unwrap_or_else(|e| {
                 eprintln!("remote stats failed: {e}");
                 exit(1);
             });
-            print!("{text}");
+            for name in climate_compress::serve::server::STAT_COUNTERS {
+                println!("{name} {}", report.metrics.counter(name));
+            }
         }
         "shutdown" => {
             let mut client = connect(flags);
