@@ -107,20 +107,13 @@ fn bench_ablations(c: &mut Criterion) {
     }
     group.finish();
 
-    // Shuffle on/off ahead of deflate, and the general-purpose-compressor
-    // comparison the paper's related work cites (LZ77 vs block-sorting on
-    // float climate bytes: both plateau).
+    // Shuffle on/off ahead of deflate.
     let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
     let shuffled = shuffle(&bytes, 4);
     eprintln!(
         "ablation shuffle: raw deflate CR {:.3}, shuffled deflate CR {:.3}",
         compress(&bytes, Level::Default).len() as f64 / bytes.len() as f64,
         compress(&shuffled, Level::Default).len() as f64 / bytes.len() as f64,
-    );
-    eprintln!(
-        "ablation general-purpose: bzip2-class raw CR {:.3}, shuffled CR {:.3}",
-        cc_lossless::bwt_compress(&bytes).len() as f64 / bytes.len() as f64,
-        cc_lossless::bwt_compress(&shuffled).len() as f64 / bytes.len() as f64,
     );
     let mut group = c.benchmark_group("ablation/shuffle_filter");
     group.sample_size(10);
@@ -129,9 +122,6 @@ fn bench_ablations(c: &mut Criterion) {
     });
     group.bench_function("deflate_shuffled", |b| {
         b.iter(|| black_box(compress(black_box(&shuffled), Level::Default)))
-    });
-    group.bench_function("bwt_shuffled", |b| {
-        b.iter(|| black_box(cc_lossless::bwt_compress(black_box(&shuffled))))
     });
     group.finish();
 }

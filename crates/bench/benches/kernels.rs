@@ -1,12 +1,10 @@
-//! Hot-kernel microbenchmarks: the four paths the kernel overhaul
-//! rewrote. Bit I/O (word-accumulator writer/reader and Rice coding),
-//! the SA-IS suffix sort against the retained prefix-doubling oracle,
-//! and the ISABELA window pipeline (radix sort + scratch + basis cache).
+//! Hot-kernel microbenchmarks: bit I/O (word-accumulator writer/reader
+//! and Rice coding) and the ISABELA window pipeline (radix sort +
+//! scratch + basis cache).
 
 use cc_codecs::{Codec, Layout};
 use cc_lossless::bitio::{BitReader, BitWriter};
-use cc_lossless::bwt::{bwt_forward, bwt_forward_doubling, suffix_array};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 /// Deterministic residual-like values: geometric-ish magnitudes that
@@ -82,40 +80,6 @@ fn bench_bitio(c: &mut Criterion) {
     group.finish();
 }
 
-/// Text-like bytes with enough repetition to resemble the shuffled
-/// climate payloads the BWT path sees.
-fn bwt_input(n: usize) -> Vec<u8> {
-    let phrase = b"surface temperature anomaly field, level ";
-    let mut data = Vec::with_capacity(n);
-    let mut i = 0usize;
-    while data.len() < n {
-        data.extend_from_slice(phrase);
-        data.push((i % 251) as u8);
-        i += 1;
-    }
-    data.truncate(n);
-    data
-}
-
-fn bench_suffix_sort(c: &mut Criterion) {
-    let mut group = c.benchmark_group("suffix_sort");
-    for size in [1 << 14, 1 << 16] {
-        let data = bwt_input(size);
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::new("sais", size), &data, |b, d| {
-            b.iter(|| black_box(suffix_array(black_box(d))))
-        });
-        group.bench_with_input(BenchmarkId::new("bwt_sais", size), &data, |b, d| {
-            b.iter(|| black_box(bwt_forward(black_box(d))))
-        });
-        // The retained prefix-doubling oracle, for the speedup headline.
-        group.bench_with_input(BenchmarkId::new("bwt_doubling", size), &data, |b, d| {
-            b.iter(|| black_box(bwt_forward_doubling(black_box(d))))
-        });
-    }
-    group.finish();
-}
-
 fn bench_isabela_window(c: &mut Criterion) {
     // 64 ISABELA windows (1024 points each) of a smooth field: the
     // sort + spline-fit + correction pipeline end to end.
@@ -141,5 +105,5 @@ fn bench_isabela_window(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bitio, bench_suffix_sort, bench_isabela_window);
+criterion_group!(benches, bench_bitio, bench_isabela_window);
 criterion_main!(benches);

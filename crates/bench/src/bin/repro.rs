@@ -365,7 +365,7 @@ fn parse_args() -> (Vec<String>, RunConfig, BenchOpts, ObsOpts) {
             "--out" => cfg.out_dir = next_val(&mut args).into(),
             "--workers" => {
                 let w: usize = next_val(&mut args).parse().expect("--workers N");
-                cc_core::par::set_global_workers(w);
+                cc_par::set_global_workers(w);
             }
             "--bench-out" => bench.path = next_val(&mut args).into(),
             "--against" => bench.against = Some(next_val(&mut args).into()),

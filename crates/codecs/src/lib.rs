@@ -23,7 +23,6 @@ pub mod apax;
 pub mod chunked;
 pub mod obs_wrap;
 pub mod fpzip;
-pub mod fpzip64;
 pub mod grib2;
 pub mod guard;
 pub mod isabela;

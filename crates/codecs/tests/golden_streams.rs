@@ -1,11 +1,10 @@
 //! Golden-stream pins: the encoded byte format must not drift.
 //!
 //! Every hash below was captured from the pre-kernel-overhaul
-//! implementation (u8-accumulator bit I/O, prefix-doubling BWT,
-//! comparator-sort ISABELA). The rewritten kernels must reproduce these
-//! streams byte-for-byte: the bit I/O rewrite, the SA-IS suffix sort, and
-//! the ISABELA scratch/radix-sort changes are all required to be
-//! format-preserving.
+//! implementation (u8-accumulator bit I/O, comparator-sort ISABELA). The
+//! rewritten kernels must reproduce these streams byte-for-byte: the bit
+//! I/O rewrite and the ISABELA scratch/radix-sort changes are both
+//! required to be format-preserving.
 //!
 //! Regenerate (only after an intentional format change) with:
 //! `GOLDEN_DUMP=1 cargo test -p cc-codecs --test golden_streams -- --nocapture`

@@ -86,7 +86,7 @@ pub fn apply_workers(flags: &HashMap<String, String>) {
             eprintln!("--workers expects an integer, got {w}");
             exit(2);
         });
-        crate::par::set_global_workers(w);
+        cc_par::set_global_workers(w);
     }
 }
 

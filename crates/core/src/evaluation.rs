@@ -15,11 +15,11 @@
 //! 4. **bias** — 95%-confidence worst-case regression slope within 0.05 of
 //!    1 over the full reconstructed ensemble (eq. 9).
 
-use crate::par::par_map_with;
 use cc_codecs::chunked::{compress_chunked, decompress_chunked};
 use cc_codecs::{Layout, Variant};
 use cc_metrics::{ErrorMetrics, PEARSON_THRESHOLD};
 use cc_model::{Model, VariableSpec};
+use cc_par::par_map_with;
 use cc_pvt::{enmax_test, rmsz_test, BiasRegression, EnsembleStats, ScoreDistribution};
 
 /// Evaluation configuration.
@@ -42,7 +42,7 @@ impl Default for EvalConfig {
         EvalConfig {
             members: cc_model::ENSEMBLE_SIZE,
             samples: 3,
-            workers: crate::par::default_workers(),
+            workers: cc_par::default_workers(),
         }
     }
 }
@@ -50,7 +50,7 @@ impl Default for EvalConfig {
 impl EvalConfig {
     /// A reduced configuration for tests and smoke runs.
     pub fn quick(members: usize) -> Self {
-        EvalConfig { members, samples: 3, workers: crate::par::default_workers() }
+        EvalConfig { members, samples: 3, workers: cc_par::default_workers() }
     }
 
     /// Deterministically pick the sampled member indices (the paper picks
@@ -504,7 +504,7 @@ impl Evaluation {
         vars: &[usize],
         mut f: impl FnMut(&VariableContext) -> R,
     ) -> Vec<R> {
-        crate::par::prefetch_map(vars, |&v| self.context(v), |ctx, _| f(&ctx))
+        cc_par::prefetch_map(vars, |&v| self.context(v), |ctx, _| f(&ctx))
     }
 
     /// Evaluate one variant over every registry variable (Table 6 row).

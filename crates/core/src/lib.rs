@@ -11,10 +11,7 @@
 //!   (the generalized (family × parameter) auto-tuner).
 //! * [`hybrid`] — the Section-5.4 per-variable customization: each method
 //!   family's ladder pick per variable (Tables 7 and 8).
-//! * [`energy`] — the global energy-budget drift check named as future
-//!   work in the paper's conclusions.
 //! * [`report`] — text/CSV rendering of every table and figure.
-//! * [`par`] — scoped-thread data parallelism used throughout.
 //! * [`cli`] — the flag dialect shared by the `ccc` and `repro`
 //!   binaries (`--flag value` parsing, `--workers`, the `--trace` /
 //!   `--metrics` / `--quiet` observability bracket).
@@ -34,12 +31,8 @@
 
 pub mod calibration;
 pub mod cli;
-pub mod diagnostics;
-pub mod energy;
 pub mod evaluation;
 pub mod hybrid;
-pub mod par;
-pub mod port;
 pub mod report;
 pub mod timeseries;
 pub mod tuning;

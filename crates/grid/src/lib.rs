@@ -20,7 +20,6 @@
 //! for analysis examples).
 
 mod gll;
-pub mod operators;
 mod sphere;
 
 pub use gll::{gll_nodes, gll_weights};

@@ -22,14 +22,12 @@
 //! shuffle + deflate over raw little-endian float bytes.
 
 pub mod bitio;
-pub mod bwt;
 pub mod deflate;
 pub mod huffman;
 pub mod lz77;
 pub mod range;
 pub mod shuffle;
 
-pub use bwt::{bwt_compress, bwt_decompress};
 pub use deflate::{compress, decompress, decompress_capped, Level};
 pub use shuffle::{shuffle, unshuffle};
 
@@ -75,30 +73,6 @@ pub fn decompress_f32_shuffled(data: &[u8]) -> Result<Vec<f32>, Error> {
         .collect())
 }
 
-/// Compress a `f64` slice (restart-file path): byte-shuffle then deflate.
-pub fn compress_f64_shuffled(data: &[f64], level: Level) -> Vec<u8> {
-    let _s = cc_obs::span("lossless.encode_f64");
-    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let shuffled = shuffle(&bytes, 8);
-    compress(&shuffled, level)
-}
-
-/// Inverse of [`compress_f64_shuffled`].
-pub fn decompress_f64_shuffled(data: &[u8]) -> Result<Vec<f64>, Error> {
-    let _s = cc_obs::span("lossless.decode_f64");
-    let shuffled = decompress(data)?;
-    if shuffled.len() % 8 != 0 {
-        return Err(Error::Corrupt("shuffled f64 payload not a multiple of 8"));
-    }
-    let bytes = unshuffle(&shuffled, 8);
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,14 +84,6 @@ mod tests {
         let back = decompress_f32_shuffled(&z).unwrap();
         assert_eq!(data, back);
         assert!(z.len() < data.len() * 4, "smooth data should compress");
-    }
-
-    #[test]
-    fn f64_shuffled_roundtrip() {
-        let data: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.01).cos()).collect();
-        let z = compress_f64_shuffled(&data, Level::Default);
-        let back = decompress_f64_shuffled(&z).unwrap();
-        assert_eq!(data, back);
     }
 
     #[test]

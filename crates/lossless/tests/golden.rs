@@ -1,16 +1,16 @@
-//! Golden pins for the lossless kernels: deflate, BWT, shuffled-float
+//! Golden pins for the lossless kernels: deflate, shuffled-float
 //! containers, and the raw bit-I/O primitives.
 //!
 //! Hashes captured from the pre-kernel-overhaul implementation
 //! (u8-accumulator BitWriter, byte-loop BitReader refill, bit-at-a-time
-//! Rice coding, prefix-doubling suffix sort). The word-at-a-time bit I/O
-//! and the SA-IS suffix sort must reproduce every stream byte-for-byte.
+//! Rice coding). The word-at-a-time bit I/O must reproduce every stream
+//! byte-for-byte.
 //!
 //! Regenerate (only after an intentional format change) with:
 //! `GOLDEN_DUMP=1 cargo test -p cc-lossless --test golden -- --nocapture`
 
 use cc_lossless::bitio::{BitReader, BitWriter};
-use cc_lossless::{bwt_compress, bwt_decompress, compress, compress_f32_shuffled, Level};
+use cc_lossless::{compress, compress_f32_shuffled, Level};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -21,8 +21,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Repetitive text with an aperiodic tail: exercises LZ77 matches and,
-/// in the BWT, long runs whose rotation order is tie-heavy.
+/// Repetitive text with an aperiodic tail: exercises LZ77 matches.
 fn text_input() -> Vec<u8> {
     let mut v = b"the community earth system model writes history files. "
         .repeat(800)
@@ -32,7 +31,7 @@ fn text_input() -> Vec<u8> {
 }
 
 /// Pseudo-random bytes (xorshift64*): near-incompressible, forces stored
-/// blocks in deflate and a dense suffix alphabet in the BWT.
+/// blocks in deflate.
 fn random_input(n: usize) -> Vec<u8> {
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
     let mut v = Vec::with_capacity(n);
@@ -63,8 +62,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("deflate/text/fast", 0x222d3da89c6e66f0),
     ("deflate/text/best", 0x222d3da89c6e66f0),
     ("deflate/random/default", 0x479e62704e33999a),
-    ("bwt/text", 0x95d8db3c378172b6),
-    ("bwt/random", 0x85ba5eeed45e25bb),
     ("shuffled-f32/default", 0x797f0c884dc6b51a),
     ("bitio/mixed-widths", 0x22df3175de6edf7b),
     ("bitio/rice-sweep", 0x13c57f7bf3e64bc6),
@@ -94,13 +91,6 @@ fn lossless_streams_are_pinned() {
     check(&mut dump, "deflate/text/fast", &compress(&text, Level::Fast));
     check(&mut dump, "deflate/text/best", &compress(&text, Level::Best));
     check(&mut dump, "deflate/random/default", &compress(&random, Level::Default));
-
-    let bwt_text = bwt_compress(&text);
-    assert_eq!(bwt_decompress(&bwt_text).unwrap(), text);
-    check(&mut dump, "bwt/text", &bwt_text);
-    let bwt_random = bwt_compress(&random);
-    assert_eq!(bwt_decompress(&bwt_random).unwrap(), random);
-    check(&mut dump, "bwt/random", &bwt_random);
 
     check(
         &mut dump,

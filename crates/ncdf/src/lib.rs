@@ -41,7 +41,7 @@ use cc_lossless::Level;
 pub enum DType {
     /// 32-bit IEEE float (CESM history files).
     F32,
-    /// 64-bit IEEE float (CESM restart files).
+    /// 64-bit IEEE float (coordinate variables).
     F64,
     /// 32-bit signed integer.
     I32,
@@ -398,7 +398,7 @@ impl Dataset {
             .collect())
     }
 
-    /// Write f64 data (restart-file path).
+    /// Write f64 data (coordinate variables).
     pub fn put_f64(&mut self, var: usize, data: &[f64]) -> Result<(), Error> {
         if self.vars[var].dtype != DType::F64 {
             return Err(Error::Usage("put_f64 on non-f64 variable".into()));

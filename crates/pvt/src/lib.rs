@@ -21,9 +21,7 @@
 //!   (eqs. 10-11);
 //! * the **bias test** — regress reconstructed-ensemble RMSZ on original
 //!   RMSZ over all 101 members; the 95%-confidence worst-case slope must
-//!   stay within 0.05 of the ideal slope 1 (eq. 9);
-//! * the global-mean **range-shift check** used by the original
-//!   port-verification workflow.
+//!   stay within 0.05 of the ideal slope 1 (eq. 9).
 
 mod regression;
 
@@ -62,8 +60,6 @@ pub struct EnsembleStats {
     max2: Vec<f32>,
     /// Per-point special-value flag (any member special ⇒ point excluded).
     special: Vec<bool>,
-    /// Per-member global (unweighted) means, for the range-shift check.
-    global_means: Vec<f64>,
 }
 
 impl EnsembleStats {
@@ -79,7 +75,6 @@ impl EnsembleStats {
             max1: vec![f32::NEG_INFINITY; npts],
             max2: vec![f32::NEG_INFINITY; npts],
             special: vec![false; npts],
-            global_means: Vec::new(),
         }
     }
 
@@ -101,8 +96,6 @@ impl EnsembleStats {
     /// Accumulate one member's field.
     pub fn add_member(&mut self, data: &[f32]) {
         assert_eq!(data.len(), self.npts, "field length mismatch");
-        let mut gsum = 0.0f64;
-        let mut gcount = 0usize;
         for (p, &v) in data.iter().enumerate() {
             if is_special(v) {
                 self.special[p] = true;
@@ -123,10 +116,7 @@ impl EnsembleStats {
             } else if v > self.max2[p] {
                 self.max2[p] = v;
             }
-            gsum += x;
-            gcount += 1;
         }
-        self.global_means.push(if gcount == 0 { 0.0 } else { gsum / gcount as f64 });
         self.n_members += 1;
     }
 
@@ -202,11 +192,6 @@ impl EnsembleStats {
             }
         }
         Some(emax / range)
-    }
-
-    /// Per-member global means accumulated so far (range-shift check).
-    pub fn global_means(&self) -> &[f64] {
-        &self.global_means
     }
 }
 
@@ -353,25 +338,6 @@ pub fn enmax_test(dist: &ScoreDistribution, e_nmax: f64) -> EnmaxOutcome {
         within_range: e_nmax <= range,
         order_smaller: range > 0.0 && e_nmax / range <= ENMAX_RATIO_MAX,
     }
-}
-
-/// Global-mean range-shift check from the original port-verification
-/// workflow: a new run's global mean must fall inside the ensemble's
-/// global-mean envelope.
-///
-/// The envelope is the min/max of a finite sample, so a genuinely
-/// exchangeable new run lands marginally outside it with non-trivial
-/// probability (≈ 2/(N+1) per run). Ten percent of the envelope width is
-/// allowed as headroom — far below the order-of-envelope shifts a changed
-/// climate produces.
-pub fn range_shift_ok(ensemble_means: &[f64], new_mean: f64) -> bool {
-    if ensemble_means.is_empty() {
-        return false;
-    }
-    let lo = ensemble_means.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = ensemble_means.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let slack = (hi - lo) * 0.1;
-    new_mean >= lo - slack && new_mean <= hi + slack
 }
 
 #[cfg(test)]
@@ -541,24 +507,6 @@ mod tests {
         assert!(marginal.within_range);
         assert!(!marginal.order_smaller);
         assert!(!marginal.passed());
-    }
-
-    #[test]
-    fn range_shift_detection() {
-        let means = vec![10.0, 10.2, 9.9, 10.1];
-        assert!(range_shift_ok(&means, 10.05));
-        assert!(!range_shift_ok(&means, 11.0));
-        assert!(!range_shift_ok(&means, 9.0));
-        assert!(!range_shift_ok(&[], 0.0));
-    }
-
-    #[test]
-    fn global_means_tracked_per_member() {
-        let stats = build_stats(7, 50);
-        assert_eq!(stats.global_means().len(), 7);
-        let lo = stats.global_means().iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = stats.global_means().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(hi - lo < 0.2, "means should be tight: {lo}..{hi}");
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! request itself.
 
 use crate::wire::{
-    self, decode_error, decode_span_tree, read_frame, try_encode_frame, ArchivePutRequest,
+    self, decode_error, decode_span_tree, try_encode_frame, ArchivePutRequest,
     ArchivePutResponse, CompressRequest, DecompressRequest, ErrCode, EvalRequest, EvalResponse,
-    FetchSliceRequest, Frame, Opcode, TraceContext, WireError, OP_BUSY, OP_ERROR, OP_STREAM,
-    OP_TELEMETRY,
+    FetchSliceRequest, Frame, FrameDecoder, Opcode, TraceContext, WireError, OP_BUSY, OP_ERROR,
+    OP_STREAM, OP_TELEMETRY,
 };
 use cc_codecs::Layout;
 use cc_obs::{HistogramSnapshot, MetricsSnapshot, SpanNode};
@@ -223,7 +223,7 @@ impl Client {
     /// the typed [`ClientError::Timeout`].
     fn recv_frame(&mut self, deadline: Instant) -> Result<Frame, ClientError> {
         let mut ds = DeadlineStream { stream: &self.stream, deadline };
-        read_frame(&mut ds, self.cfg.max_payload).map_err(|e| {
+        FrameDecoder::new(self.cfg.max_payload).read_frame(&mut ds).map_err(|e| {
             if e.is_timeout() {
                 ClientError::Timeout(self.cfg.request_deadline)
             } else {

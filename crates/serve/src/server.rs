@@ -62,8 +62,8 @@
 use crate::wire::{
     self, encode_error, encode_frame, encode_span_tree, try_encode_frame, ArchivePutRequest,
     ArchivePutResponse, CompressRequest, DecompressRequest, ErrCode, EvalRequest, EvalResponse,
-    FetchSliceRequest, Frame, FrameDecoder, Opcode, TraceContext, WireError,
-    MAX_TELEMETRY_NODES, OP_BUSY, OP_ERROR, OP_STREAM, OP_TELEMETRY,
+    FetchSliceRequest, Frame, FrameDecoder, Opcode, WireError, MAX_TELEMETRY_NODES, OP_BUSY,
+    OP_ERROR, OP_STREAM, OP_TELEMETRY,
 };
 use cc_archive::{ArchiveError, ArchiveReader, FileSource};
 use cc_obs::SpanNode;
@@ -197,16 +197,10 @@ pub const STAT_COUNTERS: &[&str] = &[
 /// Timing context a traced request accumulates on its way to the pool
 /// (all on [`cc_obs::now_ns`]'s clock).
 struct JobTrace {
-    /// The client's trace extension (echoed for the server's records;
-    /// stitching itself happens client-side).
-    #[allow(dead_code)]
-    ctx: TraceContext,
     /// Socket read of the frame began (decoder left a boundary).
     read_start_ns: u64,
     /// The frame completed decoding.
     decoded_ns: u64,
-    /// The request entered the compute queue.
-    enqueued_ns: u64,
 }
 
 /// One parsed request travelling to the compute pool.
@@ -608,11 +602,9 @@ fn shard_loop(idx: usize, shared: &Shared) {
             // flight. A full queue is backpressure — retry next tick.
             while !c.inflight && !c.dead {
                 let Some(p) = c.pending.pop_front() else { break };
-                let trace = p.frame.trace.map(|ctx| JobTrace {
-                    ctx,
+                let trace = p.frame.trace.is_some().then_some(JobTrace {
                     read_start_ns: p.read_start_ns,
                     decoded_ns: p.decoded_ns,
-                    enqueued_ns: cc_obs::now_ns(),
                 });
                 match shared.queue.try_push(Job { shard: idx, conn: id, frame: p.frame, trace }) {
                     Ok(depth) => {
@@ -853,7 +845,6 @@ fn handle_job(job: Job, shared: &Shared) {
         let rec = rec.as_ref();
         let mut emit = |bytes: Vec<u8>| {
             cc_obs::counter_inc("serve.stream.frames");
-            cc_obs::counter_add("serve.op.compress.bytes_out", bytes.len() as u64);
             inbox.send(ShardMsg::Partial { conn, req_id, bytes });
             if let Some(r) = rec {
                 r.borrow_mut().mark("srv.stream.emit");
@@ -903,9 +894,6 @@ fn handle_job(job: Job, shared: &Shared) {
                 children: rec.map(|r| r.into_inner().spans).unwrap_or_default(),
             },
         ];
-        // enqueued_ns sits inside the srv.queue interval; it is not its
-        // own span — queue wait is what the client cares about.
-        let _ = t.enqueued_ns;
         ReqTelemetry { root_start_ns: t.read_start_ns, children }
     });
     inbox.send(ShardMsg::Done { conn, req_id, opcode, payload, telemetry });
@@ -924,6 +912,13 @@ fn handle_request(
     };
     let _span = cc_obs::span_dyn(&format!("serve.req.{}", op.name()));
     cc_obs::counter_add(&format!("serve.op.{}.bytes_in", op.name()), frame.payload.len() as u64);
+    // A reply's bytes out are its streamed pieces plus the terminal
+    // remainder, booked once under the request's own opcode.
+    let mut streamed = 0u64;
+    let emit = &mut |bytes: Vec<u8>| {
+        streamed += bytes.len() as u64;
+        emit(bytes)
+    };
     let out: HandlerResult = match op {
         Opcode::Ping => Ok((op.reply(), Vec::new())),
         Opcode::Compress => {
@@ -949,7 +944,8 @@ fn handle_request(
         }
     };
     if let Ok((_, payload)) = &out {
-        cc_obs::counter_add(&format!("serve.op.{}.bytes_out", op.name()), payload.len() as u64);
+        let bytes_out = streamed + payload.len() as u64;
+        cc_obs::counter_add(&format!("serve.op.{}.bytes_out", op.name()), bytes_out);
     }
     out
 }

@@ -27,13 +27,16 @@
 //! concatenation and the result is byte-identical to an unstreamed
 //! reply.
 //!
-//! Frame decode is **total over untrusted bytes**: every read is
-//! bounds-checked, a declared payload length above the connection's cap
-//! is rejected before any allocation, and payload buffers grow
-//! incrementally in [`READ_CHUNK`]-sized steps so no allocation ever
-//! exceeds a small multiple of the bytes actually received — the same
-//! discipline the codec decode paths follow (DESIGN.md §7), enforced
-//! end-to-end by the wire fault-injection harness.
+//! One [`FrameDecoder`] decodes every frame: the server feeds it bytes
+//! from nonblocking sockets, the client blocks in
+//! [`FrameDecoder::read_frame`]. Frame decode is **total over untrusted
+//! bytes**: every read is bounds-checked, a declared payload length
+//! above the connection's cap is rejected before any allocation, and a
+//! payload buffer starts at no more than [`READ_CHUNK`] and grows only
+//! with the bytes actually received, so no allocation ever exceeds a
+//! small multiple of them — the same discipline the codec decode paths
+//! follow (DESIGN.md §7), enforced end-to-end by the wire
+//! fault-injection harness.
 
 use std::io::Read;
 
@@ -48,9 +51,10 @@ pub const FLAG_TRACE: u8 = 0x80;
 pub const TRACE_EXT_LEN: usize = 24;
 /// Fixed header length (magic, version, opcode, request id, payload len).
 pub const HEADER_LEN: usize = 18;
-/// Payload read granularity: buffers grow by at most this much per read,
-/// so a corrupt header declaring a huge payload cannot drive a large
-/// allocation before the bytes actually arrive.
+/// Payload read granularity: a payload buffer starts at no more than
+/// this and a blocking read asks for no more than this, so a corrupt
+/// header declaring a huge payload cannot drive a large allocation
+/// before the bytes actually arrive.
 pub const READ_CHUNK: usize = 64 * 1024;
 /// Default per-connection payload cap (64 MiB).
 pub const DEFAULT_MAX_PAYLOAD: usize = 64 << 20;
@@ -340,28 +344,6 @@ pub fn encode_frame(opcode: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
     try_encode_frame(None, opcode, req_id, payload).expect("length checked")
 }
 
-/// Read exactly `buf.len()` bytes, mapping a zero-byte first read to
-/// `Closed` when `at_boundary` (distinguishes a peer hanging up between
-/// frames from one dying mid-frame).
-fn read_full(r: &mut dyn Read, buf: &mut [u8], at_boundary: bool) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if at_boundary && filled == 0 {
-                    WireError::Closed
-                } else {
-                    WireError::Truncated
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
 /// A validated frame header.
 #[derive(Debug, Clone, Copy)]
 struct Header {
@@ -371,10 +353,9 @@ struct Header {
     declared: usize,
 }
 
-/// Validate a raw header. The single place header invariants live —
-/// [`read_frame`] and [`FrameDecoder`] both go through it. Accepts
-/// [`VERSION`] with or without [`FLAG_TRACE`]; every other version byte
-/// is damage.
+/// Validate a raw header: the single place header invariants live.
+/// Accepts [`VERSION`] with or without [`FLAG_TRACE`]; every other
+/// version byte is damage.
 fn parse_header(header: &[u8; HEADER_LEN], max_payload: usize) -> Result<Header, WireError> {
     if header[0..4] != MAGIC {
         return Err(WireError::BadMagic);
@@ -393,37 +374,13 @@ fn parse_header(header: &[u8; HEADER_LEN], max_payload: usize) -> Result<Header,
     Ok(Header { traced, opcode, req_id, declared })
 }
 
-/// Read one frame. Total over untrusted bytes: the declared payload
-/// length is checked against `max_payload` before any payload
-/// allocation, and the payload buffer grows in [`READ_CHUNK`] steps so
-/// peak allocation tracks bytes actually received.
-pub fn read_frame(r: &mut dyn Read, max_payload: usize) -> Result<Frame, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_full(r, &mut header, true)?;
-    let h = parse_header(&header, max_payload)?;
-    let trace = if h.traced {
-        let mut ext = [0u8; TRACE_EXT_LEN];
-        read_full(r, &mut ext, false)?;
-        Some(TraceContext::decode(&ext))
-    } else {
-        None
-    };
-    let mut payload = Vec::with_capacity(h.declared.min(READ_CHUNK));
-    while payload.len() < h.declared {
-        let take = (h.declared - payload.len()).min(READ_CHUNK);
-        let start = payload.len();
-        payload.resize(start + take, 0);
-        read_full(r, &mut payload[start..], false)?;
-    }
-    Ok(Frame { opcode: h.opcode, req_id: h.req_id, trace, payload })
-}
-
-/// Incremental frame decoder for nonblocking sockets: feed whatever
-/// bytes arrived, collect whatever frames completed. Validation is the
-/// same total discipline as [`read_frame`] — the declared length is
-/// checked against the cap as soon as the header completes, before any
-/// payload allocation, and the payload buffer only ever grows by the
-/// bytes actually fed in.
+/// Incremental frame decoder: feed whatever bytes arrived, collect
+/// whatever frames completed ([`FrameDecoder::feed`], for nonblocking
+/// sockets), or block for exactly one frame
+/// ([`FrameDecoder::read_frame`]). The declared length is checked
+/// against the cap as soon as the header completes, before any payload
+/// allocation; the payload buffer then starts at no more than
+/// [`READ_CHUNK`] and grows only by the bytes actually fed in.
 #[derive(Debug)]
 pub struct FrameDecoder {
     max_payload: usize,
@@ -479,7 +436,12 @@ impl FrameDecoder {
                     self.header_filled += take;
                     bytes = &bytes[take..];
                     if self.header_filled == HEADER_LEN {
-                        self.pending = Some(parse_header(&self.header, self.max_payload)?);
+                        let h = parse_header(&self.header, self.max_payload)?;
+                        // Reserve up to READ_CHUNK now: growth then doubles
+                        // from READ_CHUNK (capacity READ_CHUNK·2^k) however
+                        // short the reads that fill the payload.
+                        self.payload = Vec::with_capacity(h.declared.min(READ_CHUNK));
+                        self.pending = Some(h);
                     }
                 }
                 Some(h) => {
@@ -510,6 +472,44 @@ impl FrameDecoder {
                     self.header_filled = 0;
                     self.ext_filled = 0;
                 }
+            }
+        }
+    }
+
+    /// Bytes still missing from the header, trace extension or payload
+    /// in flight; the payload's share is capped at [`READ_CHUNK`].
+    fn missing(&self) -> usize {
+        match self.pending {
+            None => HEADER_LEN - self.header_filled,
+            Some(h) if h.traced && self.ext_filled < TRACE_EXT_LEN => {
+                TRACE_EXT_LEN - self.ext_filled
+            }
+            Some(h) => (h.declared - self.payload.len()).min(READ_CHUNK),
+        }
+    }
+
+    /// Block until one whole frame has arrived from `r`. Each `read`
+    /// asks only for the bytes still missing from the current header,
+    /// extension or payload and passes them through [`Self::feed`], so
+    /// it never consumes past the frame's last byte: successive calls on
+    /// one stream return successive frames. A zero-byte read at a frame
+    /// boundary is [`WireError::Closed`]; inside a frame it is
+    /// [`WireError::Truncated`].
+    pub fn read_frame(&mut self, r: &mut dyn Read) -> Result<Frame, WireError> {
+        let mut chunk = Vec::new();
+        let mut done = Vec::with_capacity(1);
+        loop {
+            chunk.resize(self.missing(), 0);
+            let n = match r.read(&mut chunk) {
+                Ok(0) if self.at_boundary() => return Err(WireError::Closed),
+                Ok(0) => return Err(WireError::Truncated),
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(WireError::Io(e)),
+            };
+            self.feed(&chunk[..n], &mut done)?;
+            if let Some(frame) = done.pop() {
+                return Ok(frame);
             }
         }
     }
@@ -1035,12 +1035,35 @@ pub fn encode_f32_payload(data: &[f32]) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// One blocking frame read from the front of `bytes`.
+    fn read_one(bytes: &[u8], cap: usize) -> Result<Frame, WireError> {
+        FrameDecoder::new(cap).read_frame(&mut &*bytes)
+    }
+
+    /// A reader handing out at most `step` bytes per `read`, counting
+    /// the calls.
+    struct Drip<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        reads: usize,
+    }
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
     #[test]
     fn frame_roundtrips() {
         let payload = vec![1u8, 2, 3, 4, 5];
         let bytes = encode_frame(Opcode::Compress as u8, 42, &payload);
         assert_eq!(bytes.len(), HEADER_LEN + payload.len());
-        let frame = read_frame(&mut bytes.as_slice(), 1 << 20).unwrap();
+        let frame = read_one(&bytes, 1 << 20).unwrap();
         assert_eq!(frame.opcode, Opcode::Compress as u8);
         assert_eq!(frame.req_id, 42);
         assert_eq!(frame.payload, payload);
@@ -1048,8 +1071,38 @@ mod tests {
 
     #[test]
     fn empty_read_is_clean_close() {
-        let empty: &[u8] = &[];
-        assert!(matches!(read_frame(&mut &*empty, 1024), Err(WireError::Closed)));
+        assert!(matches!(read_one(&[], 1024), Err(WireError::Closed)));
+    }
+
+    #[test]
+    fn blocking_reads_stop_at_each_frame_boundary() {
+        let ctx = TraceContext { trace_id: 0xfeed << 64 | 0xbeef, parent_span: 11 };
+        let big: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let frame = |opcode, req_id, trace, payload| Frame { opcode, req_id, trace, payload };
+        let expect = [
+            frame(Opcode::Evaluate as u8, 1, Some(ctx), vec![5; 40]),
+            frame(Opcode::Ping as u8, 2, None, vec![]),
+            frame(OP_STREAM, 3, None, big),
+        ];
+        let stream: Vec<u8> = expect
+            .iter()
+            .flat_map(|f| try_encode_frame(f.trace, f.opcode, f.req_id, &f.payload).unwrap())
+            .collect();
+        // Whole reads: one per header, extension and READ_CHUNK of payload
+        // (3 + 1 + 3), plus the closing zero-byte read. One-byte reads: one
+        // per byte plus the close. Either way no read crosses a frame end.
+        for (step, reads) in [(usize::MAX, 8), (1, stream.len() + 1)] {
+            let mut r = Drip { bytes: &stream, step, reads: 0 };
+            for want in &expect {
+                let got = FrameDecoder::new(1 << 20).read_frame(&mut r).expect("frame");
+                assert_eq!(&got, want, "step {step}");
+            }
+            assert!(matches!(
+                FrameDecoder::new(1 << 20).read_frame(&mut r),
+                Err(WireError::Closed)
+            ));
+            assert_eq!(r.reads, reads, "step {step}");
+        }
     }
 
     #[test]
@@ -1057,18 +1110,15 @@ mod tests {
         let good = encode_frame(Opcode::Ping as u8, 7, &[]);
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(matches!(
-            read_frame(&mut bad_magic.as_slice(), 1024),
-            Err(WireError::BadMagic)
-        ));
-        // Every version byte but 2, traced or not, is damage in both
-        // decoders: version 1 plain or flagged, 0, 3, 9, a bare flag.
+        assert!(matches!(read_one(&bad_magic, 1024), Err(WireError::BadMagic)));
+        // Every version byte but 2, traced or not, is damage through both
+        // entry points: version 1 plain or flagged, 0, 3, 9, a bare flag.
         for raw in [0u8, 1, 1 | FLAG_TRACE, 3, 9, FLAG_TRACE] {
             let mut bad_version = good.clone();
             bad_version[4] = raw;
             assert!(
                 matches!(
-                    read_frame(&mut bad_version.as_slice(), 1024),
+                    read_one(&bad_version, 1024),
                     Err(WireError::BadVersion(v)) if v == raw
                 ),
                 "version byte {raw:#04x} must be BadVersion"
@@ -1080,22 +1130,18 @@ mod tests {
                     dec.feed(&bad_version, &mut got),
                     Err(WireError::BadVersion(v)) if v == raw
                 ),
-                "version byte {raw:#04x} must be BadVersion in FrameDecoder"
+                "version byte {raw:#04x} must be BadVersion through feed"
             );
             assert!(got.is_empty());
         }
-        let truncated = &good[..HEADER_LEN - 3];
-        assert!(matches!(
-            read_frame(&mut &*truncated, 1024),
-            Err(WireError::Truncated)
-        ));
+        assert!(matches!(read_one(&good[..HEADER_LEN - 3], 1024), Err(WireError::Truncated)));
     }
 
     #[test]
     fn oversized_declaration_rejected_before_allocation() {
         let mut bytes = encode_frame(Opcode::Ping as u8, 1, &[]);
         bytes[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
-        match read_frame(&mut bytes.as_slice(), 1024) {
+        match read_one(&bytes, 1024) {
             Err(WireError::TooLarge { declared, cap }) => {
                 assert_eq!(declared, u32::MAX as u64);
                 assert_eq!(cap, 1024);
@@ -1107,8 +1153,7 @@ mod tests {
     #[test]
     fn truncated_payload_is_truncated_not_closed() {
         let bytes = encode_frame(Opcode::Stats as u8, 3, &[9u8; 100]);
-        let cut = &bytes[..HEADER_LEN + 10];
-        assert!(matches!(read_frame(&mut &*cut, 1024), Err(WireError::Truncated)));
+        assert!(matches!(read_one(&bytes[..HEADER_LEN + 10], 1024), Err(WireError::Truncated)));
     }
 
     #[test]
@@ -1199,7 +1244,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_decoder_matches_read_frame_at_any_split() {
+    fn frame_decoder_frames_identically_at_any_split() {
         let frames = [
             encode_frame(Opcode::Ping as u8, 1, &[]),
             encode_frame(Opcode::Compress as u8, 2, &[7u8; 300]),
@@ -1289,9 +1334,13 @@ mod tests {
         let bytes = try_encode_frame(Some(ctx), Opcode::Evaluate as u8, 77, &[1, 2, 3]).unwrap();
         assert_eq!(bytes.len(), HEADER_LEN + TRACE_EXT_LEN + 3);
         assert_eq!(bytes[4], VERSION | FLAG_TRACE);
-        let frame = read_frame(&mut bytes.as_slice(), 1024).unwrap();
-        assert_eq!(frame.trace, Some(ctx));
-        assert_eq!(frame.payload, vec![1, 2, 3]);
+        let frame = Frame {
+            opcode: Opcode::Evaluate as u8,
+            req_id: 77,
+            trace: Some(ctx),
+            payload: vec![1, 2, 3],
+        };
+        assert_eq!(read_one(&bytes, 1024).unwrap(), frame);
         // The incremental decoder must agree at every granularity,
         // including splits inside the extension.
         for step in [1usize, 5, 18, 23, 41, 1024] {

@@ -1,7 +1,8 @@
 //! Archive ops against a live server: `ArchivePut` validates and
 //! stores, `FetchSlice` answers slices byte-identical to a local
 //! sequential full decode (including when the reply streams as
-//! `OP_STREAM` pieces), and the error paths come back as typed frames.
+//! `OP_STREAM` pieces, whose bytes are booked under fetch-slice), and
+//! the error paths come back as typed frames.
 
 use cc_archive::{ArchiveOptions, ArchiveReader, ArchiveWriter};
 use cc_codecs::sz::ErrorBound;
@@ -47,11 +48,11 @@ fn fetched_slices_match_local_sequential_decode_over_the_wire() {
     let mut local = ArchiveReader::open(bytes.as_slice()).expect("local open");
     let reference = local.decode_variable("T").expect("local decode");
 
-    // Tiny stream threshold so every slice reply exercises the
-    // OP_STREAM reassembly path too.
+    // Tiny stream threshold so every slice reply (218 points, 872 B)
+    // streams: a reply splits once it reaches twice the threshold.
     let server = Server::start(ServerConfig {
         archive_dir: Some(dir.clone()),
-        stream_threshold: 512,
+        stream_threshold: 256,
         ..ServerConfig::default()
     })
     .expect("bind loopback");
@@ -63,9 +64,18 @@ fn fetched_slices_match_local_sequential_decode_over_the_wire() {
     assert_eq!(summary.frames, 20);
     assert!(dir.join("run1.ccarch").is_file(), "server stored the archive");
 
+    let counters = [
+        "serve.stream.frames",
+        "serve.op.fetch-slice.bytes_out",
+        "serve.op.compress.bytes_out",
+    ];
+    let before = counters.map(cc_obs::counter_value);
+    let (mut replies, mut fetched) = (0u64, 0u64);
     for t in [0usize, 1, 5, 6, 11, 19] {
         for lev in 0..layout.nlev {
             let remote = client.fetch_slice("run1", "T", t as u32, lev as u32).expect("fetch");
+            replies += 1;
+            fetched += 4 * remote.len() as u64;
             let expect = &reference[t][lev * layout.npts..(lev + 1) * layout.npts];
             assert_eq!(
                 remote.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -74,6 +84,11 @@ fn fetched_slices_match_local_sequential_decode_over_the_wire() {
             );
         }
     }
+    let [frames, fetch_out, compress_out] =
+        std::array::from_fn(|i| cc_obs::counter_value(counters[i]) - before[i]);
+    assert!(frames >= replies, "{frames} stream pieces for {replies} slice replies");
+    assert_eq!(fetch_out, fetched, "fetch-slice bytes_out must count every fetched byte once");
+    assert_eq!(compress_out, 0, "streamed fetch bytes booked as compress bytes");
     drop(client);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,7 +5,7 @@
 
 use cc_codecs::chunked::compress_chunked;
 use cc_codecs::{Layout, Variant};
-use cc_serve::wire::{read_frame, CompressRequest, Opcode, DEFAULT_MAX_PAYLOAD, OP_BUSY};
+use cc_serve::wire::{CompressRequest, FrameDecoder, Opcode, DEFAULT_MAX_PAYLOAD, OP_BUSY};
 use cc_serve::{Client, Server, ServerConfig};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -125,12 +125,13 @@ fn connection_cap_answers_busy() {
     rejected
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("set timeout");
-    let frame = read_frame(&mut rejected, DEFAULT_MAX_PAYLOAD).expect("busy frame");
+    let frame =
+        FrameDecoder::new(DEFAULT_MAX_PAYLOAD).read_frame(&mut rejected).expect("busy frame");
     assert_eq!(frame.opcode, OP_BUSY, "expected OP_BUSY, got {:#04x}", frame.opcode);
     assert_eq!(frame.req_id, 0);
     assert!(
         matches!(
-            read_frame(&mut rejected, DEFAULT_MAX_PAYLOAD),
+            FrameDecoder::new(DEFAULT_MAX_PAYLOAD).read_frame(&mut rejected),
             Err(cc_serve::wire::WireError::Closed)
         ),
         "busy connection must be closed after the frame"

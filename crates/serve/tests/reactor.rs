@@ -6,7 +6,7 @@
 use cc_codecs::chunked::compress_chunked;
 use cc_codecs::{Layout, Variant};
 use cc_serve::wire::{
-    encode_frame, read_frame, CompressRequest, Opcode, DEFAULT_MAX_PAYLOAD, OP_STREAM,
+    encode_frame, CompressRequest, FrameDecoder, Opcode, DEFAULT_MAX_PAYLOAD, OP_STREAM,
 };
 use cc_serve::{Client, ClientConfig, ClientError, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -87,7 +87,8 @@ fn streamed_replies_concatenate_to_sequential_bytes() {
     let mut acc = Vec::new();
     let mut stream_frames = 0usize;
     loop {
-        let frame = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD).expect("reply frame");
+        let frame =
+            FrameDecoder::new(DEFAULT_MAX_PAYLOAD).read_frame(&mut stream).expect("reply frame");
         assert_eq!(frame.req_id, 9, "reply frames must echo the request id");
         acc.extend_from_slice(&frame.payload);
         if frame.opcode == OP_STREAM {

@@ -204,15 +204,6 @@ fn deflate_decode_is_total() {
 }
 
 #[test]
-fn bwt_decode_is_total() {
-    let payload = byte_payload(64 << 10);
-    let stream = cc_lossless::bwt_compress(&payload);
-    fuzz_decoder("cc-lossless/bwt", payload.len(), &stream, &|bytes| {
-        let _ = cc_lossless::bwt_decompress(bytes);
-    });
-}
-
-#[test]
 fn shuffled_f32_decode_is_total() {
     let (data, _) = smooth_field(8192, 1);
     let stream = cc_lossless::compress_f32_shuffled(&data, cc_lossless::Level::Default);
@@ -391,19 +382,4 @@ fn archive_index_crafts_are_rejected_with_typed_errors() {
     assert_eq!(reader.index().vars.len(), 2);
     reader.fetch_slice("T", 7, 1).expect("bounded fetch");
     reader.fetch_slice("Q", 11, 0).expect("xor fetch");
-}
-
-// ---------------------------------------------------------------------------
-// Standalone double-precision fpzip.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fpzip64_decode_is_total() {
-    let (data32, layout) = smooth_field(2048, 1);
-    let data: Vec<f64> = data32.iter().map(|&v| v as f64).collect();
-    let codec = cc_codecs::fpzip64::Fpzip64::lossless();
-    let stream = codec.compress(&data, layout);
-    fuzz_decoder("cc-codecs/fpzip64", data.len() * 8, &stream, &|bytes| {
-        let _ = codec.decompress(bytes, layout);
-    });
 }

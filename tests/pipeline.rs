@@ -133,22 +133,3 @@ fn field_stats_match_registry_intent() {
         }
     }
 }
-
-#[test]
-fn energy_budget_check_spans_crates() {
-    use climate_compress::core::energy;
-    let model = Model::new(Resolution::reduced(2, 2), 5);
-    let member = model.member(0);
-    let fsnt = model.synthesize(&member, model.var_id("FSNT").unwrap());
-    let flnt = model.synthesize(&member, model.var_id("FLNT").unwrap());
-    let layout = Layout::for_grid(model.grid(), 1);
-
-    // Lossless: zero drift. APAX-2: tiny drift.
-    let codec = Variant::Apax { rate: 2.0 }.codec();
-    let fsnt_r = codec.decompress(&codec.compress(&fsnt.data, layout), layout).unwrap();
-    let flnt_r = codec.decompress(&codec.compress(&flnt.data, layout), layout).unwrap();
-    let (orig, recon, drift) =
-        energy::budget_drift(model.grid(), &fsnt.data, &flnt.data, &fsnt_r, &flnt_r);
-    assert!(orig.is_finite() && recon.is_finite());
-    assert!(drift < energy::BUDGET_DRIFT_MAX, "APAX-2 budget drift {drift}");
-}

@@ -21,7 +21,7 @@ use climate_compress::codecs::chunked::compress_chunked;
 use climate_compress::codecs::{Layout, Variant};
 use climate_compress::obs as cc_obs;
 use climate_compress::serve::wire::{
-    self, encode_frame, read_frame, CompressRequest, Opcode, WireError, MAGIC, OP_BUSY, VERSION,
+    self, encode_frame, CompressRequest, FrameDecoder, Opcode, WireError, MAGIC, OP_BUSY, VERSION,
 };
 use climate_compress::serve::{Client, Server, ServerConfig};
 
@@ -109,7 +109,7 @@ fn poke(addr: &str, case: &[u8]) -> Result<(), String> {
     // closes. Anything else — a timeout (hung server) or a frame that
     // does not parse — is a protocol violation.
     for _ in 0..16 {
-        match read_frame(&mut stream, wire::DEFAULT_MAX_PAYLOAD) {
+        match FrameDecoder::new(wire::DEFAULT_MAX_PAYLOAD).read_frame(&mut stream) {
             Ok(_) => continue,
             Err(WireError::Closed) => return Ok(()),
             Err(WireError::Io(e)) => {
@@ -222,7 +222,9 @@ fn corrupt_frames_never_panic_never_overallocate() {
     rejected
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("set timeout");
-    let busy = read_frame(&mut rejected, wire::DEFAULT_MAX_PAYLOAD).expect("busy frame");
+    let busy = FrameDecoder::new(wire::DEFAULT_MAX_PAYLOAD)
+        .read_frame(&mut rejected)
+        .expect("busy frame");
     assert_eq!(busy.opcode, OP_BUSY);
     drop(rejected);
     drop(_queued);
