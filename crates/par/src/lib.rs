@@ -29,7 +29,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Process-wide worker-count override (0 = unset). Set from `--workers`
 /// style CLI flags; consulted by [`default_workers`].
@@ -344,112 +343,11 @@ where
     });
 }
 
-/// An unbounded wakeable inbox: many producers [`Mailbox::send`], one
-/// consumer drains. Built for reactor shards — the consumer empties the
-/// whole inbox per poll iteration (batch swap, one lock), and can park
-/// with a timeout when it has nothing else to do. Unlike
-/// [`BoundedQueue`] there is no capacity: senders never block, so a
-/// compute worker posting a completion can never deadlock against a
-/// shard that is itself blocked sending to the worker's queue.
-/// Backpressure belongs to the layers feeding the mailbox (connection
-/// and in-flight request caps), not the mailbox itself.
-pub struct Mailbox<T> {
-    inbox: Mutex<Vec<T>>,
-    bell: Condvar,
-}
-
-impl<T> Default for Mailbox<T> {
-    fn default() -> Self {
-        Mailbox::new()
-    }
-}
-
-impl<T> Mailbox<T> {
-    /// An empty mailbox.
-    pub fn new() -> Mailbox<T> {
-        Mailbox { inbox: Mutex::new(Vec::new()), bell: Condvar::new() }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<T>> {
-        self.inbox.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Deposit one message and wake the consumer.
-    pub fn send(&self, msg: T) {
-        self.lock().push(msg);
-        self.bell.notify_one();
-    }
-
-    /// Wake the consumer without depositing anything (used to announce
-    /// out-of-band state changes like a stop flag flip).
-    pub fn ring(&self) {
-        self.bell.notify_one();
-    }
-
-    /// Take every queued message without blocking (possibly none), in
-    /// send order.
-    pub fn drain(&self) -> Vec<T> {
-        std::mem::take(&mut *self.lock())
-    }
-
-    /// Take every queued message, parking up to `timeout` when the
-    /// inbox is empty. Returns an empty vec on timeout or spurious
-    /// wake — callers loop anyway.
-    pub fn drain_timeout(&self, timeout: Duration) -> Vec<T> {
-        let mut inbox = self.lock();
-        if inbox.is_empty() {
-            let (guard, _) = self
-                .bell
-                .wait_timeout(inbox, timeout)
-                .unwrap_or_else(|p| p.into_inner());
-            inbox = guard;
-        }
-        std::mem::take(&mut *inbox)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn mailbox_batches_in_send_order() {
-        let mb = Mailbox::new();
-        for i in 0..10 {
-            mb.send(i);
-        }
-        assert_eq!(mb.drain(), (0..10).collect::<Vec<_>>());
-        assert!(mb.drain().is_empty());
-    }
-
-    #[test]
-    fn mailbox_drain_timeout_wakes_on_send() {
-        let mb = std::sync::Arc::new(Mailbox::new());
-        let producer = {
-            let mb = std::sync::Arc::clone(&mb);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                mb.send(42u64);
-            })
-        };
-        // Generous park: the send must cut it short.
-        let t0 = std::time::Instant::now();
-        let mut got = Vec::new();
-        while got.is_empty() && t0.elapsed() < Duration::from_secs(10) {
-            got = mb.drain_timeout(Duration::from_secs(5));
-        }
-        assert_eq!(got, vec![42]);
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn mailbox_drain_timeout_returns_empty_when_idle() {
-        let mb: Mailbox<()> = Mailbox::new();
-        let t0 = std::time::Instant::now();
-        assert!(mb.drain_timeout(Duration::from_millis(10)).is_empty());
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-    }
+    use std::time::Duration;
 
     #[test]
     fn preserves_order() {

@@ -2,13 +2,14 @@
 //!
 //! A dependency-free (`std::net`) TCP daemon speaking the framed binary
 //! protocol **cc-wire/2** ([`wire`]), with an acceptor → reactor shards
-//! → compute pool core ([`server`], backed by `cc_par::Mailbox` /
-//! `BoundedQueue` / `run_pool`) and a blocking client library
-//! ([`client`]). Each reactor shard owns its connections via
-//! nonblocking sockets and a std-only readiness poll loop, so idle or
-//! slow connections cost a syscall per tick rather than a parked
+//! → compute pool core ([`server`], backed by `cc_par::BoundedQueue` /
+//! `run_pool`) and a blocking client library ([`client`]). Each reactor
+//! shard owns its connections via nonblocking sockets and blocks in
+//! `poll(2)` until one of them, or its wake socket, is ready, so idle or
+//! slow connections cost nothing until they move rather than a parked
 //! thread; large `Compress` replies stream back in chunk-level pieces
-//! before the last chunk is encoded. The service exposes the repo's
+//! before the last chunk is encoded. The `poll(2)` binding makes the
+//! crate unix-only. The service exposes the repo's
 //! compression pipeline over the network: compress / decompress any
 //! named codec variant, run a quick-scale four-test evaluation
 //! (`cc_core::evaluation`), and read live counters.
@@ -30,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod poll;
 pub mod server;
 pub mod wire;
 

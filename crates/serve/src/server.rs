@@ -8,9 +8,11 @@
 //! blocking path) and a write state machine (an outbound frame queue
 //! with partial-write resumption — writes go out in
 //! [`ServerConfig::write_chunk`]-sized slices and pick up exactly where
-//! a short write left off). A slow or idle connection therefore costs
-//! its shard one nonblocking syscall per tick, not a parked thread:
-//! concurrency is capped by [`ServerConfig::max_conns`], not pool width.
+//! a short write left off). A shard blocks in `poll(2)` on the sockets
+//! that want I/O plus its wake socket, and steps only the connections
+//! that are ready, so a slow or idle connection costs nothing until its
+//! socket moves, not a parked thread: concurrency is capped by
+//! [`ServerConfig::max_conns`], not pool width.
 //!
 //! Parsed requests are handed to the compute pool (`cc_par::run_pool`
 //! over a **bounded** [`cc_par::BoundedQueue`], so every worker carries
@@ -19,8 +21,17 @@
 //! in flight at a time — pipelined requests queue on the connection and
 //! submit in arrival order, which is what keeps responses in request
 //! order without reorder buffers. A full compute queue is backpressure,
-//! not failure: the shard simply retries the submit on a later tick and
-//! stops reading that connection once its pending window fills.
+//! not failure: the shard retries the submit a millisecond later (nothing
+//! signals when the shared queue drains) and stops reading that
+//! connection once its pending window fills.
+//!
+//! **Waking.** Whoever posts to a shard — the acceptor handing over a
+//! connection, a compute worker returning a reply or a streamed piece,
+//! shutdown — pushes the message onto the shard's inbox and then writes
+//! one byte to the shard's wake socket; the acceptor blocks the same way
+//! on its listener and its own wake socket. A shard's poll timeout is
+//! zero while a connection has used up its pass budget with work left,
+//! and otherwise the time to the nearest read or write deadline.
 //!
 //! **Streaming replies.** A large `Compress` reply does not wait for
 //! the last chunk: the handler emits the stream through
@@ -55,9 +66,9 @@
 //! Every stage is instrumented through `cc-obs`: the global counters
 //! (`serve.accept`, `serve.busy`, `serve.requests`, `serve.req_us`,
 //! per-opcode byte counters, …) plus per-shard counters
-//! (`serve.shard{i}.frames`, `.bytes_in`, `.bytes_out`, `.conns`) and a
-//! per-shard `serve.shard{i}.wake_msgs` histogram — all exportable
-//! through the usual `--trace` / `TRACE.json` path.
+//! (`serve.shard{i}.frames`, `.wakes`, `.bytes_in`, `.bytes_out`,
+//! `.conns`) and a per-shard `serve.shard{i}.wake_msgs` histogram — all
+//! exportable through the usual `--trace` / `TRACE.json` path.
 
 use crate::wire::{
     self, encode_error, encode_frame, encode_span_tree, try_encode_frame, ArchivePutRequest,
@@ -65,6 +76,7 @@ use crate::wire::{
     FetchSliceRequest, Frame, FrameDecoder, Opcode, WireError, MAX_TELEMETRY_NODES, OP_BUSY,
     OP_ERROR, OP_STREAM, OP_TELEMETRY,
 };
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use cc_archive::{ArchiveError, ArchiveReader, FileSource};
 use cc_obs::SpanNode;
 use std::cell::RefCell;
@@ -73,14 +85,16 @@ use cc_codecs::Variant;
 use cc_core::evaluation::{verdict_for, EvalConfig, Evaluation};
 use cc_grid::Resolution;
 use cc_model::Model;
-use cc_par::{BoundedQueue, Mailbox};
-use std::collections::{HashMap, VecDeque};
+use cc_par::BoundedQueue;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -163,10 +177,13 @@ impl Default for ServerConfig {
 /// stops reading more bytes from it (per-connection flow control).
 pub const PENDING_CAP: usize = 32;
 
-/// Nonblocking read attempts per connection per tick (fairness bound).
+/// Nonblocking read attempts per connection per wake (fairness bound).
 const READ_PASSES: usize = 4;
-/// Write slices attempted per connection per tick (fairness bound).
+/// Write slices attempted per connection per wake (fairness bound).
 const WRITE_PASSES: usize = 8;
+/// How soon a shard retries a submit the full compute queue refused:
+/// nothing signals a shard when the shared queue drains.
+const SUBMIT_RETRY: Duration = Duration::from_micros(1_000);
 
 /// Counters registered at server start, so the `Stats` reply (and
 /// `TRACE.json`) lists them before they first move; `ccc remote stats`
@@ -219,7 +236,7 @@ struct ReqTelemetry {
     children: Vec<SpanNode>,
 }
 
-/// Messages a reactor shard drains from its inbox each tick.
+/// Messages a reactor shard takes from its inbox when its bell rings.
 enum ShardMsg {
     /// A freshly accepted (already nonblocking) connection.
     Accept(TcpStream),
@@ -229,11 +246,70 @@ enum ShardMsg {
     Done { conn: u64, req_id: u64, opcode: u8, payload: Vec<u8>, telemetry: Option<ReqTelemetry> },
 }
 
+/// A wake socket: any thread rings it by writing one byte, and its
+/// owner polls the read end. Unread bytes keep the read end readable, so
+/// a ring that finds the buffer full (`WouldBlock`) still wakes.
+struct Bell {
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Bell {
+    fn new() -> std::io::Result<Bell> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Bell { tx, rx })
+    }
+
+    fn ring(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consume every pending ring.
+    fn clear(&self) {
+        let mut buf = [0u8; 256];
+        while (&self.rx).read(&mut buf).is_ok_and(|n| n == buf.len()) {}
+    }
+
+    fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+}
+
+/// A reactor shard's inbox: posted messages plus the bell announcing
+/// them.
+struct Inbox {
+    msgs: Mutex<Vec<ShardMsg>>,
+    bell: Bell,
+}
+
+impl Inbox {
+    fn new() -> std::io::Result<Inbox> {
+        Ok(Inbox { msgs: Mutex::new(Vec::new()), bell: Bell::new()? })
+    }
+
+    /// Queue `msg`, then ring. [`Inbox::take`] clears the bell before it
+    /// takes, so every message is either taken or still rung.
+    fn post(&self, msg: ShardMsg) {
+        self.msgs.lock().unwrap_or_else(|p| p.into_inner()).push(msg);
+        self.bell.ring();
+    }
+
+    /// Clear the bell, then take every queued message in post order.
+    fn take(&self) -> Vec<ShardMsg> {
+        self.bell.clear();
+        std::mem::take(&mut *self.msgs.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+}
+
 struct Shared {
     cfg: ServerConfig,
     stop: AtomicBool,
     queue: BoundedQueue<Job>,
-    inboxes: Vec<Arc<Mailbox<ShardMsg>>>,
+    inboxes: Vec<Inbox>,
+    /// Rung only by shutdown, to wake the acceptor out of its poll.
+    acceptor_bell: Bell,
     conns: AtomicUsize,
     started: Instant,
 }
@@ -241,8 +317,9 @@ struct Shared {
 impl Shared {
     fn begin_shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.acceptor_bell.ring();
         for inbox in &self.inboxes {
-            inbox.ring();
+            inbox.bell.ring();
         }
     }
 
@@ -277,13 +354,13 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let nshards = cfg.shards.max(1);
-        let inboxes: Vec<Arc<Mailbox<ShardMsg>>> =
-            (0..nshards).map(|_| Arc::new(Mailbox::new())).collect();
+        let inboxes = (0..nshards).map(|_| Inbox::new()).collect::<std::io::Result<_>>()?;
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_depth),
             cfg,
             stop: AtomicBool::new(false),
             inboxes,
+            acceptor_bell: Bell::new()?,
             conns: AtomicUsize::new(0),
             started: Instant::now(),
         });
@@ -365,10 +442,11 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     let cfg = &shared.cfg;
     let nshards = shared.inboxes.len();
     let mut next_shard = 0usize;
-    loop {
-        if shared.stopping() {
-            break;
-        }
+    let mut fds = [
+        PollFd::new(listener.as_raw_fd(), POLLIN),
+        PollFd::new(shared.acceptor_bell.fd(), POLLIN),
+    ];
+    while !shared.stopping() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 cc_obs::counter_inc("serve.accept");
@@ -385,18 +463,15 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     continue;
                 }
                 shared.conns.fetch_add(1, Ordering::SeqCst);
-                shared.inboxes[next_shard].send(ShardMsg::Accept(stream));
+                shared.inboxes[next_shard].post(ShardMsg::Accept(stream));
                 next_shard = (next_shard + 1) % nshards;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if shared.stopping() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Backlog empty: sleep until a connection arrives or
+            // shutdown rings the bell.
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => poll::wait(&mut fds, None),
+            // Errors like EMFILE leave the listener readable; back off
+            // instead of spinning on it.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -405,6 +480,8 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 /// the poll loop never takes the registry lock.
 struct ShardStats {
     frames: &'static AtomicU64,
+    /// Returns from `poll(2)`, whatever woke it.
+    wakes: &'static AtomicU64,
     bytes_in: &'static AtomicU64,
     bytes_out: &'static AtomicU64,
     conns: &'static AtomicU64,
@@ -415,6 +492,7 @@ impl ShardStats {
     fn new(idx: usize) -> ShardStats {
         ShardStats {
             frames: cc_obs::counter(&format!("serve.shard{idx}.frames")),
+            wakes: cc_obs::counter(&format!("serve.shard{idx}.wakes")),
             bytes_in: cc_obs::counter(&format!("serve.shard{idx}.bytes_in")),
             bytes_out: cc_obs::counter(&format!("serve.shard{idx}.bytes_out")),
             conns: cc_obs::counter(&format!("serve.shard{idx}.conns")),
@@ -462,11 +540,15 @@ struct Conn {
     /// Last frame completion (or accept): the frame-progress clock.
     last_progress: Instant,
     write_stalled_since: Option<Instant>,
+    /// Step the socket on the next pass: poll reported it, a message
+    /// touched it, or it used its whole pass budget with work left.
+    ready: bool,
 }
 
 impl Conn {
     fn new(stream: TcpStream, max_payload: usize) -> Conn {
         Conn {
+            ready: true,
             stream,
             dec: FrameDecoder::new(max_payload),
             read_start_ns: 0,
@@ -493,27 +575,52 @@ impl Conn {
     fn quiesced(&self) -> bool {
         self.pending.is_empty() && !self.inflight
     }
+
+    /// Reading is allowed: not closing, read-closed or dead, and the
+    /// pending window has room.
+    fn may_read(&self) -> bool {
+        !(self.closing || self.read_closed || self.dead) && self.pending.len() < PENDING_CAP
+    }
+
+    /// What the next poll watches: input only while the connection may
+    /// read, output only while some is queued. With neither the entry
+    /// is skipped: a half-closed peer would otherwise report readable or
+    /// hang-up on every poll while its request is in flight.
+    fn poll_fd(&self) -> PollFd {
+        let events = if self.may_read() { POLLIN } else { 0 }
+            | if self.outq.is_empty() { 0 } else { POLLOUT };
+        PollFd::new(if events == 0 { -1 } else { self.stream.as_raw_fd() }, events)
+    }
 }
 
 fn shard_loop(idx: usize, shared: &Shared) {
     let cfg = &shared.cfg;
     let inbox = &shared.inboxes[idx];
     let stats = ShardStats::new(idx);
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    // Ordered by id, so connections are stepped in accept order.
+    let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
     let mut next_id = 0u64;
     let mut scratch = vec![0u8; wire::READ_CHUNK];
     let mut frames: Vec<Frame> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    // `None` sleeps until a socket or the bell wakes the shard.
+    let mut timeout: Option<Duration> = None;
     loop {
-        // Sockets can become readable without anyone ringing the inbox,
-        // so the park must stay short while connections exist; an empty
-        // shard can sleep longer (accepts ring the bell).
-        let park = if conns.is_empty() {
-            Duration::from_millis(25)
-        } else {
-            Duration::from_millis(1)
-        };
-        let msgs = inbox.drain_timeout(park);
+        fds.clear();
+        fds.push(PollFd::new(inbox.bell.fd(), POLLIN));
+        fds.extend(conns.values().map(Conn::poll_fd));
+        poll::wait(&mut fds, timeout);
         let metrics = cc_obs::metrics_enabled();
+        if metrics {
+            stats.wakes.fetch_add(1, Ordering::Relaxed);
+        }
+        for (c, fd) in conns.values_mut().zip(&fds[1..]) {
+            c.ready |= fd.ready();
+        }
+        // Posters ring after queueing, so a bell that was quiet when
+        // polled has no message to take yet; a later ring wakes the
+        // next poll.
+        let msgs = if fds[0].ready() { inbox.take() } else { Vec::new() };
         if metrics && !msgs.is_empty() {
             stats.wake_msgs.observe(msgs.len() as u64);
         }
@@ -532,10 +639,12 @@ fn shard_loop(idx: usize, shared: &Shared) {
                         // so it starts flowing before the terminal frame
                         // (or even the next piece) exists.
                         c.outq.push_back(encode_frame(OP_STREAM, req_id, &bytes));
+                        c.ready = true;
                     }
                 }
                 ShardMsg::Done { conn, req_id, opcode, payload, telemetry } => {
                     if let Some(c) = conns.get_mut(&conn) {
+                        c.ready = true;
                         c.inflight = false;
                         c.last_progress = Instant::now();
                         let recv_ns = cc_obs::now_ns();
@@ -587,11 +696,12 @@ fn shard_loop(idx: usize, shared: &Shared) {
         let stopping = shared.stopping();
         let now = Instant::now();
         let mut reap = Vec::new();
-        let mut ids: Vec<u64> = conns.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let c = conns.get_mut(&id).expect("conn present");
-            step_read(c, &mut scratch, &mut frames, cfg, &stats, metrics);
+        timeout = None;
+        for (&id, c) in conns.iter_mut() {
+            // Only a ready connection costs socket syscalls; submits,
+            // deadlines and reaping below run for every connection.
+            let step = std::mem::take(&mut c.ready);
+            let mut more = step && step_read(c, &mut scratch, &mut frames, cfg, &stats, metrics);
             if stopping {
                 // Draining: answer nothing new; what is in flight
                 // finishes and flushes.
@@ -599,7 +709,8 @@ fn shard_loop(idx: usize, shared: &Shared) {
                 c.closing = true;
             }
             // Submit the next pending request unless one is already in
-            // flight. A full queue is backpressure — retry next tick.
+            // flight. A full queue is backpressure — retry shortly.
+            let mut refused = false;
             while !c.inflight && !c.dead {
                 let Some(p) = c.pending.pop_front() else { break };
                 let trace = p.frame.trace.is_some().then_some(JobTrace {
@@ -618,6 +729,7 @@ fn shard_loop(idx: usize, shared: &Shared) {
                             decoded_ns: job.trace.as_ref().map_or(0, |t| t.decoded_ns),
                             frame: job.frame,
                         });
+                        refused = true;
                         break;
                     }
                 }
@@ -629,7 +741,9 @@ fn shard_loop(idx: usize, shared: &Shared) {
                 c.outq.push_back(frame);
                 c.closing = true;
             }
-            step_write(c, cfg, &stats, metrics);
+            if step {
+                more |= step_write(c, cfg, &stats, metrics);
+            }
 
             // Deadlines. The frame-progress clock runs while waiting
             // for bytes (idle or mid-frame — the loris case); it pauses
@@ -649,6 +763,24 @@ fn shard_loop(idx: usize, shared: &Shared) {
             let done_gracefully = c.quiesced() && c.flushed() && (c.closing || c.read_closed);
             if c.dead || done_gracefully {
                 reap.push(id);
+                continue;
+            }
+
+            // The next poll returns at once for a used-up budget, soon
+            // for a refused submit, and by the nearest deadline.
+            c.ready = more;
+            let mut due = |d: Duration| timeout = Some(timeout.map_or(d, |t| t.min(d)));
+            if more {
+                due(Duration::ZERO);
+            }
+            if refused {
+                due(SUBMIT_RETRY);
+            }
+            if waiting {
+                due((c.last_progress + cfg.read_timeout).saturating_duration_since(now));
+            }
+            if let Some(t) = c.write_stalled_since {
+                due((t + cfg.write_timeout).saturating_duration_since(now));
             }
         }
         for id in reap {
@@ -664,6 +796,7 @@ fn shard_loop(idx: usize, shared: &Shared) {
 
 /// Drain readable bytes into the connection's frame decoder and promote
 /// completed frames to the pending queue, enforcing the request cap.
+/// True when every pass read a full buffer, so bytes may be left.
 fn step_read(
     c: &mut Conn,
     scratch: &mut [u8],
@@ -671,14 +804,13 @@ fn step_read(
     cfg: &ServerConfig,
     stats: &ShardStats,
     metrics: bool,
-) {
-    if c.closing || c.read_closed || c.dead {
-        return;
+) -> bool {
+    if !c.may_read() {
+        return false;
     }
+    let mut more = false;
     for _ in 0..READ_PASSES {
-        if c.pending.len() >= PENDING_CAP {
-            break;
-        }
+        more = false;
         let at_boundary = c.dec.at_boundary();
         match (&c.stream).read(scratch) {
             Ok(0) => {
@@ -720,7 +852,8 @@ fn step_read(
                         break;
                     }
                 }
-                if n < scratch.len() {
+                more = n == scratch.len();
+                if !more {
                     break;
                 }
             }
@@ -755,25 +888,27 @@ fn step_read(
         c.pending.push_back(Pending { read_start_ns: c.read_start_ns, decoded_ns, frame });
     }
     frames.clear();
+    more
 }
 
 /// Push queued output, at most `write_chunk` bytes per syscall, resuming
-/// mid-buffer after short writes.
-fn step_write(c: &mut Conn, cfg: &ServerConfig, stats: &ShardStats, metrics: bool) {
+/// mid-buffer after short writes. True when every pass wrote and output
+/// is still queued.
+fn step_write(c: &mut Conn, cfg: &ServerConfig, stats: &ShardStats, metrics: bool) -> bool {
     if c.dead {
-        return;
+        return false;
     }
     let chunk_cap = cfg.write_chunk.max(1);
     for _ in 0..WRITE_PASSES {
         let Some(front) = c.outq.front() else {
             c.write_stalled_since = None;
-            return;
+            return false;
         };
         let end = (c.out_pos + chunk_cap).min(front.len());
         match (&c.stream).write(&front[c.out_pos..end]) {
             Ok(0) => {
                 c.dead = true;
-                return;
+                return false;
             }
             Ok(n) => {
                 c.out_pos += n;
@@ -788,15 +923,16 @@ fn step_write(c: &mut Conn, cfg: &ServerConfig, stats: &ShardStats, metrics: boo
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 c.write_stalled_since.get_or_insert_with(Instant::now);
-                return;
+                return false;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
                 c.dead = true;
-                return;
+                return false;
             }
         }
     }
+    !c.outq.is_empty()
 }
 
 /// Most worker-side child spans one traced request may record (chunk
@@ -845,7 +981,7 @@ fn handle_job(job: Job, shared: &Shared) {
         let rec = rec.as_ref();
         let mut emit = |bytes: Vec<u8>| {
             cc_obs::counter_inc("serve.stream.frames");
-            inbox.send(ShardMsg::Partial { conn, req_id, bytes });
+            inbox.post(ShardMsg::Partial { conn, req_id, bytes });
             if let Some(r) = rec {
                 r.borrow_mut().mark("srv.stream.emit");
             }
@@ -896,7 +1032,7 @@ fn handle_job(job: Job, shared: &Shared) {
         ];
         ReqTelemetry { root_start_ns: t.read_start_ns, children }
     });
-    inbox.send(ShardMsg::Done { conn, req_id, opcode, payload, telemetry });
+    inbox.post(ShardMsg::Done { conn, req_id, opcode, payload, telemetry });
 }
 
 type HandlerResult = Result<(u8, Vec<u8>), (ErrCode, String)>;
@@ -1075,7 +1211,8 @@ fn archive_err(e: ArchiveError) -> (ErrCode, String) {
 
 /// Validate and store a client-supplied archive. The container is fully
 /// parsed (footer, index, chain invariants) *before* anything touches
-/// disk, so the archive directory only ever holds well-formed files.
+/// disk, and it replaces any earlier archive of that name in one rename,
+/// so every archive a request can name is a whole, well-formed file.
 fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCode, String)> {
     let req = ArchivePutRequest::decode(payload)
         .map_err(|_| (ErrCode::BadPayload, "malformed ArchivePut payload".into()))?;
@@ -1084,9 +1221,29 @@ fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCo
         .map_err(|e| (ErrCode::BadPayload, format!("invalid archive: {e}")))?;
     let vars = reader.index().vars.len() as u32;
     let frames: u32 = reader.index().vars.iter().map(|v| v.frames.len() as u32).sum();
-    std::fs::write(&path, &req.bytes)
+    replace_file(&path, &req.bytes)
         .map_err(|e| (ErrCode::Internal, format!("archive store failed: {e}")))?;
     Ok(ArchivePutResponse { bytes: req.bytes.len() as u64, vars, frames }.encode())
+}
+
+/// Write `bytes` to a temp file beside `path`, then rename it over
+/// `path`: a concurrent reader opens either the old file or the new one,
+/// never a partial write. The temp name starts with `.`, which no
+/// archive name may ([`wire::archive_name_ok`]), so no request can
+/// address it; it is removed again if the write or rename fails.
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let stored = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if stored.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    stored
 }
 
 /// Fetch one (variable, timestep, level) slice from a stored archive,

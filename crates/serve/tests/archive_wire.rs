@@ -12,6 +12,8 @@ use cc_model::Model;
 use cc_serve::wire::ErrCode;
 use cc_serve::{Client, ClientError, Server, ServerConfig};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 fn temp_archive_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cc-archive-wire-{tag}-{}", std::process::id()));
@@ -20,10 +22,11 @@ fn temp_archive_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A short correlated model run archived with SZ keyframes + bounded
-/// deltas, plus the raw frames for reference decoding.
-fn build_archive(nslices: usize) -> (Vec<u8>, Vec<Vec<f32>>, Layout) {
-    let model = Model::new(Resolution::reduced(2, 3), 7);
+/// A short correlated model run (model seed `seed`) archived with SZ
+/// keyframes + bounded deltas, plus the raw frames for reference
+/// decoding.
+fn build_archive(nslices: usize, seed: u64) -> (Vec<u8>, Vec<Vec<f32>>, Layout) {
+    let model = Model::new(Resolution::reduced(2, 3), seed);
     let id = model.var_id("T").expect("known variable");
     let layout = Layout::for_grid(model.grid(), model.var_nlev(id));
     let frames: Vec<Vec<f32>> = model
@@ -42,7 +45,7 @@ fn build_archive(nslices: usize) -> (Vec<u8>, Vec<Vec<f32>>, Layout) {
 #[test]
 fn fetched_slices_match_local_sequential_decode_over_the_wire() {
     let dir = temp_archive_dir("roundtrip");
-    let (bytes, _, layout) = build_archive(20);
+    let (bytes, _, layout) = build_archive(20, 7);
 
     // Local reference: sequential full decode of every frame.
     let mut local = ArchiveReader::open(bytes.as_slice()).expect("local open");
@@ -97,7 +100,7 @@ fn fetched_slices_match_local_sequential_decode_over_the_wire() {
 #[test]
 fn archive_error_paths_come_back_typed() {
     let dir = temp_archive_dir("errors");
-    let (bytes, _, _) = build_archive(8);
+    let (bytes, _, _) = build_archive(8, 7);
     let server = Server::start(ServerConfig {
         archive_dir: Some(dir.clone()),
         ..ServerConfig::default()
@@ -142,7 +145,7 @@ fn archive_error_paths_come_back_typed() {
 
 #[test]
 fn archive_ops_require_a_configured_directory() {
-    let (bytes, _, _) = build_archive(8);
+    let (bytes, _, _) = build_archive(8, 7);
     let server = Server::start(ServerConfig::default()).expect("bind loopback");
     let mut client = Client::connect(&server.addr().to_string()).expect("connect");
     match client.archive_put("run1", &bytes) {
@@ -157,4 +160,64 @@ fn archive_ops_require_a_configured_directory() {
     }
     drop(client);
     server.shutdown();
+}
+
+/// `ArchivePut` replaces a stored archive in one rename. While one client
+/// alternately stores archives A and B under one name, every concurrent
+/// fetch of a slice answers exactly A's or B's slice, and none fails on
+/// a partly written file. No temp file is left behind.
+#[test]
+fn put_replaces_atomically_under_concurrent_fetch() {
+    let dir = temp_archive_dir("replace");
+    let versions = [build_archive(20, 7).0, build_archive(20, 8).0];
+    let slices: Vec<Vec<u32>> = versions
+        .iter()
+        .map(|bytes| {
+            let mut reader = ArchiveReader::open(bytes.as_slice()).expect("local open");
+            let slice = reader.fetch_slice("T", 13, 1).expect("local fetch");
+            slice.iter().map(|v| v.to_bits()).collect()
+        })
+        .collect();
+    assert_ne!(slices[0], slices[1], "the two versions must differ at the fetched slice");
+
+    let server = Server::start(ServerConfig {
+        archive_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    let mut putter = Client::connect(&addr).expect("connect");
+    putter.archive_put("run", &versions[0]).expect("first put");
+
+    let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        let fetcher = s.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect");
+            start.wait();
+            for n in 0.. {
+                let got = client.fetch_slice("run", "T", 13, 1).expect("fetch during a replace");
+                let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert!(slices.contains(&bits), "fetch {n} matches neither stored version");
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+        });
+        start.wait();
+        for i in 1..=60 {
+            putter.archive_put("run", &versions[i % 2]).expect("replace");
+        }
+        done.store(true, Ordering::SeqCst);
+        fetcher.join().expect("fetcher");
+    });
+
+    let stray: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list archive dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .filter(|n| n != "run.ccarch")
+        .collect();
+    assert!(stray.is_empty(), "left behind in the archive directory: {stray:?}");
+    drop(putter);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

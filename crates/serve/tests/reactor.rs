@@ -1,17 +1,38 @@
 //! Reactor-specific behaviour: partial-write resumption, chunk-level
-//! reply streaming, slow-loris isolation, and the client's per-request
-//! deadline. These pin the properties the sharded poll loop exists for,
-//! beyond the plain roundtrip/concurrency coverage.
+//! reply streaming, slow-loris isolation, the write deadline, how soon a
+//! shard wakes (and that it sleeps otherwise), and the client's
+//! per-request deadline. These pin the properties the sharded poll loop
+//! exists for, beyond the plain roundtrip/concurrency coverage.
+//!
+//! Every test holds [`serial`]: the timing tests need the CPU to
+//! themselves, and the per-shard counters they read are process-wide,
+//! so another test's `shard0` would move them.
 
 use cc_codecs::chunked::compress_chunked;
 use cc_codecs::{Layout, Variant};
 use cc_serve::wire::{
-    encode_frame, CompressRequest, FrameDecoder, Opcode, DEFAULT_MAX_PAYLOAD, OP_STREAM,
+    encode_frame, CompressRequest, DecompressRequest, FrameDecoder, Opcode, DEFAULT_MAX_PAYLOAD,
+    OP_STREAM,
 };
 use cc_serve::{Client, ClientConfig, ClientError, Server, ServerConfig};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Poll `cond` every millisecond for up to 20 s.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let t0 = Instant::now();
+    while !cond() {
+        assert!(t0.elapsed() < Duration::from_secs(20), "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 fn smooth_field(npts: usize, nlev: usize) -> (Vec<f32>, Layout) {
     let linear = Layout::linear(npts);
@@ -36,6 +57,7 @@ fn reference(name: &str, data: &[f32], layout: Layout) -> Vec<u8> {
 /// reference stream.
 #[test]
 fn partial_writes_resume_to_identical_bytes() {
+    let _serial = serial();
     let (data, layout) = smooth_field(2000, 2);
     let server = Server::start(ServerConfig {
         shards: 1,
@@ -65,6 +87,7 @@ fn partial_writes_resume_to_identical_bytes() {
 /// both through the raw wire and through the client's reassembly.
 #[test]
 fn streamed_replies_concatenate_to_sequential_bytes() {
+    let _serial = serial();
     let (data, layout) = smooth_field(3000, 2);
     let server = Server::start(ServerConfig {
         shards: 2,
@@ -119,6 +142,7 @@ fn streamed_replies_concatenate_to_sequential_bytes() {
 /// same shard — the loris never resets the clock by dribbling.
 #[test]
 fn slow_loris_is_reaped_without_blocking_others() {
+    let _serial = serial();
     let (data, layout) = smooth_field(500, 1);
     let server = Server::start(ServerConfig {
         shards: 1,
@@ -192,6 +216,7 @@ fn slow_loris_is_reaped_without_blocking_others() {
 /// `ClientError::Timeout`, not hang per-`read()` forever.
 #[test]
 fn client_deadline_fires_on_byte_dribble() {
+    let _serial = serial();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
     let addr = listener.local_addr().expect("addr").to_string();
 
@@ -233,4 +258,151 @@ fn client_deadline_fires_on_byte_dribble() {
     );
     drop(client);
     dribbler.join().expect("dribbler");
+}
+
+/// A request is picked up as soon as its bytes land: the shard sleeps in
+/// `poll(2)` on the socket rather than on a timer, so a ping round trip
+/// takes well under the millisecond a timer-paced shard would add.
+#[test]
+fn ping_round_trip_is_not_paced_by_a_timer() {
+    let _serial = serial();
+    let server = Server::start(ServerConfig { shards: 1, workers: 1, ..ServerConfig::default() })
+        .expect("bind loopback");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    client.ping().expect("warm-up ping");
+    let mut rtts: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t0 = Instant::now();
+            client.ping().expect("ping");
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort_unstable();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_micros(500),
+        "median ping round trip {median:?}: requests wait for a timer"
+    );
+    drop(client);
+    server.shutdown();
+}
+
+/// The shard sleeps while nothing is ready. Eight idle connections wake
+/// it at most a handful of times in 300 ms (a timer-paced loop wakes
+/// every millisecond), and a half-closed peer whose multi-MB `Compress`
+/// is in flight costs a wake per streamed piece, not a spin: a closed
+/// read side is never polled for input.
+#[test]
+fn idle_and_half_closed_connections_do_not_wake_the_shard() {
+    let _serial = serial();
+    let server = Server::start(ServerConfig {
+        shards: 1,
+        workers: 1,
+        stream_threshold: 64 << 10,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    let counter = cc_obs::counter_value;
+    let wakes = || counter("serve.shard0.wakes");
+
+    let conns_before = counter("serve.shard0.conns");
+    let idle: Vec<TcpStream> =
+        (0..8).map(|_| TcpStream::connect(&addr).expect("connect")).collect();
+    wait_until("8 accepts", || counter("serve.shard0.conns") >= conns_before + 8);
+    std::thread::sleep(Duration::from_millis(50));
+    let w0 = wakes();
+    std::thread::sleep(Duration::from_millis(300));
+    let idle_wakes = wakes() - w0;
+    assert!(idle_wakes <= 5, "{idle_wakes} wakes in 300 ms with 8 idle connections");
+
+    // Send a large Compress, half-close, and read nothing until the
+    // compute pool has finished it.
+    let (data, layout) = smooth_field(1 << 20, 2);
+    let expect = reference("fpzip-24", &data, layout);
+    let req = CompressRequest { variant: "fpzip-24".into(), layout, data }
+        .encode()
+        .expect("encode");
+    let (frames0, requests0) = (counter("serve.shard0.frames"), counter("serve.requests"));
+    let mut peer = TcpStream::connect(&addr).expect("connect");
+    peer.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    peer.write_all(&encode_frame(Opcode::Compress as u8, 1, &req)).expect("send");
+    peer.shutdown(Shutdown::Write).expect("half-close");
+    wait_until("the request frame", || counter("serve.shard0.frames") > frames0);
+    let (w0, pieces0) = (wakes(), counter("serve.stream.frames"));
+    wait_until("the compress to finish", || counter("serve.requests") > requests0);
+    let (inflight_wakes, pieces) = (wakes() - w0, counter("serve.stream.frames") - pieces0);
+    assert!(
+        inflight_wakes <= pieces + 5,
+        "{inflight_wakes} wakes for {pieces} streamed pieces while the request was in flight"
+    );
+    let mut reply = Vec::new();
+    loop {
+        let frame = FrameDecoder::new(DEFAULT_MAX_PAYLOAD).read_frame(&mut peer).expect("reply");
+        reply.extend_from_slice(&frame.payload);
+        if frame.opcode != OP_STREAM {
+            break;
+        }
+    }
+    assert_eq!(reply, expect, "half-closed peer got the sequential bytes");
+
+    drop(idle);
+    server.shutdown();
+}
+
+/// A peer that stops reading a reply larger than the loopback socket
+/// buffers is reaped once `write_timeout` passes without write progress,
+/// while another connection on the same shard keeps getting replies.
+/// The victim then goes quiet, so the shard's poll timeout alone has to
+/// fire the deadline.
+#[test]
+fn stalled_reader_is_reaped_after_write_timeout() {
+    let _serial = serial();
+    let write_timeout = Duration::from_millis(400);
+    let server = Server::start(ServerConfig {
+        shards: 1,
+        workers: 2,
+        write_timeout,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    let counter = cc_obs::counter_value;
+
+    // A constant field compresses to almost nothing and decompresses to
+    // a 16 MiB reply, several times what loopback buffers hold.
+    let layout = Layout::linear(4 << 20);
+    let stream = reference("fpzip-24", &vec![1.0f32; layout.len()], layout);
+    let req = DecompressRequest { variant: "fpzip-24".into(), layout, stream }
+        .encode()
+        .expect("encode");
+    let (closed0, out0) =
+        (counter("serve.conn_closed"), counter("serve.op.decompress.bytes_out"));
+    let mut victim = Client::connect(&addr).expect("victim connect");
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    stalled.write_all(&encode_frame(Opcode::Decompress as u8, 1, &req)).expect("send");
+    // The reply exists once its bytes are booked; its writes stall from
+    // then on.
+    wait_until("the decompress reply", || counter("serve.op.decompress.bytes_out") > out0);
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let t = Instant::now();
+        victim.ping().expect("victim ping while the other reader stalls");
+        assert!(t.elapsed() < Duration::from_secs(1), "victim stalled: {:?}", t.elapsed());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    wait_until("the stalled reader to be reaped", || counter("serve.conn_closed") > closed0);
+    let reaped_after = t0.elapsed();
+    assert!(reaped_after >= write_timeout, "reaped before the write deadline: {reaped_after:?}");
+
+    // The reaped peer finds a cut-off reply followed by end of stream.
+    stalled.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let (mut got, mut buf) = (0usize, vec![0u8; 1 << 16]);
+    while let Ok(n @ 1..) = stalled.read(&mut buf) {
+        got += n;
+    }
+    assert!(got < 4 * layout.len(), "the whole {got}-byte reply arrived: nothing stalled");
+    victim.ping().expect("victim ping after the reap");
+    drop(victim);
+    server.shutdown();
 }
