@@ -8,7 +8,7 @@
 //! the read path.
 
 use cc_codecs::chunked::{compress_chunked, decompress_chunked};
-use cc_codecs::Layout;
+use cc_codecs::{Layout, Variant};
 
 use crate::index::{self, FrameEntry, FrameKind, VarEntry};
 use crate::{delta, ArchiveError, ArchiveOptions, DeltaMode, FOOTER_MAGIC, MAGIC};
@@ -80,6 +80,12 @@ impl ArchiveWriter {
             if !e.is_finite() || e <= 0.0 {
                 return Err(ArchiveError::BadRequest("error bound must be positive finite"));
             }
+        }
+        // The index stores the keyframe codec by name; a reader resolves
+        // it with `Variant::by_name`, so seal only names that resolve back
+        // to this very variant.
+        if Variant::by_name(&opts.variant.name()) != Some(opts.variant) {
+            return Err(ArchiveError::BadRequest("keyframe codec has no resolvable name"));
         }
 
         let codec = opts.variant.codec();

@@ -9,7 +9,7 @@
 //! * a random slice fetch at a 100+-timestep archive reads only its
 //!   keyframe chain plus the index, a small fraction of the file.
 
-use cc_archive::{ArchiveOptions, ArchiveReader, ArchiveWriter, DeltaMode};
+use cc_archive::{ArchiveError, ArchiveOptions, ArchiveReader, ArchiveWriter, DeltaMode};
 use cc_codecs::{ErrorBound, Layout, Variant};
 use cc_grid::Resolution;
 use cc_model::Model;
@@ -195,4 +195,24 @@ fn info_index_is_faithful() {
     let keys = v.frames.iter().filter(|f| f.kind == cc_archive::FrameKind::Key).count();
     assert_eq!(keys, 3, "12 frames at interval 4 → 3 keyframes");
     assert_eq!(idx.file_len, bytes.len() as u64);
+}
+
+#[test]
+fn keyframe_codec_must_resolve_by_name() {
+    // The index names the keyframe codec, so a tuned GRIB2(D=d) pick
+    // seals an archive whose reader finds that codec again...
+    let run = model_run(6, &["U"]);
+    let (name, layout, frames) = &run[0];
+    let bytes = build(&run, &ArchiveOptions::new(Variant::Grib2 { decimal_scale: Some(3) }));
+    let mut r = ArchiveReader::open(bytes.as_slice()).unwrap();
+    assert_eq!(r.index().var(name).unwrap().codec, "GRIB2(D=3)");
+    for t in 0..frames.len() {
+        for lev in 0..layout.nlev {
+            assert_eq!(r.fetch_slice(name, t, lev).unwrap().len(), layout.npts);
+        }
+    }
+    // ...and a variant no name resolves to is refused before sealing.
+    let opts = ArchiveOptions::new(Variant::Apax { rate: 6.0 });
+    let err = ArchiveWriter::new().add_variable(name, *layout, frames, &opts).unwrap_err();
+    assert!(matches!(err, ArchiveError::BadRequest(_)), "{err}");
 }

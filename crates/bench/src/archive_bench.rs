@@ -23,7 +23,7 @@
 //! ```
 //!
 //! `bench-check --against` gates each variable's archive CR and slice
-//! p99 as smaller-is-better ([`gated`]).
+//! p99 as smaller-is-better (`gated`).
 
 use cc_archive::{ArchiveOptions, ArchiveReader, ArchiveWriter};
 use cc_codecs::chunked::compress_chunked;

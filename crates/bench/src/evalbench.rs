@@ -18,7 +18,7 @@
 //!
 //! Unlike the `tune` section, the rates here are wall-clock measurements
 //! and vary run to run — `bench-check --against` holds them to the same
-//! tolerance floor as the codec throughput comparison ([`gated`]).
+//! tolerance floor as the codec throughput comparison (`gated`).
 
 use cc_core::evaluation::Evaluation;
 use cc_core::tuning::{tune_variable, TuneReport};

@@ -39,9 +39,9 @@
 //! over codecs. `telemetry` is the delta of the per-codec `cc-obs` byte
 //! counters across the sweep — the counters are process-wide, so the
 //! deltas are lower-bounded by this run's traffic rather than exactly
-//! equal to it when other work shares the process. [`validate`]
+//! equal to it when other work shares the process. `validate`
 //! machine-checks all of this; `bench-check --against` gates the
-//! `workers = 1` encode and decode rates of every codec ([`gated`]).
+//! `workers = 1` encode and decode rates of every codec (`gated`).
 
 use cc_codecs::chunked::{compress_chunked, decompress_chunked, plan};
 use cc_codecs::{Layout, Variant};

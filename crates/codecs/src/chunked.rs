@@ -272,44 +272,6 @@ fn reject(e: CodecError) -> CodecError {
     e
 }
 
-/// [`Codec`] adapter running any inner codec through the chunked path at
-/// a fixed worker count, so chunked compression can slot anywhere a
-/// codec is expected (the bench harness, the `ccc` CLI).
-pub struct ChunkedCodec<C: Codec> {
-    inner: C,
-    workers: usize,
-}
-
-impl<C: Codec> ChunkedCodec<C> {
-    /// Wrap `inner`, fanning chunks over `workers` threads.
-    pub fn new(inner: C, workers: usize) -> Self {
-        ChunkedCodec { inner, workers }
-    }
-
-    /// The wrapped codec.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-}
-
-impl<C: Codec> Codec for ChunkedCodec<C> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn properties(&self) -> crate::CodecProperties {
-        self.inner.properties()
-    }
-
-    fn compress(&self, data: &[f32], layout: Layout) -> Vec<u8> {
-        compress_chunked(&self.inner, data, layout, self.workers)
-    }
-
-    fn decompress(&self, bytes: &[u8], layout: Layout) -> Result<Vec<f32>, CodecError> {
-        decompress_chunked(&self.inner, bytes, layout, self.workers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,19 +356,6 @@ mod tests {
         });
         assert_eq!(pieces, 1);
         assert_eq!(streamed, compress_chunked(codec.as_ref(), &data, layout, 1));
-    }
-
-    #[test]
-    fn wrapper_equals_free_functions() {
-        let (data, layout) = smooth_field(3_000, 2);
-        let inner = Variant::Apax { rate: 4.0 }.codec();
-        let bytes = compress_chunked(inner.as_ref(), &data, layout, 2);
-        let wrapped = ChunkedCodec::new(Variant::Apax { rate: 4.0 }.codec(), 2);
-        assert_eq!(wrapped.compress(&data, layout), bytes);
-        assert_eq!(
-            wrapped.decompress(&bytes, layout).unwrap(),
-            decompress_chunked(inner.as_ref(), &bytes, layout, 1).unwrap()
-        );
     }
 
     #[test]

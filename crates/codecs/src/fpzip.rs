@@ -19,21 +19,10 @@
 use crate::{Codec, CodecError, CodecProperties, Layout};
 use cc_lossless::bitio::{BitReader, BitWriter};
 
-/// Residual entropy coder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Entropy {
-    /// Static Golomb-Rice codes with per-block parameters (fast).
-    Rice,
-    /// Adaptive binary range coding of residual bit-lengths (closer to the
-    /// published fpzip's entropy stage; better ratio, slower).
-    Range,
-}
-
 /// fpzip with `p` bits of retained precision (8, 16, 24, or 32).
 #[derive(Debug, Clone, Copy)]
 pub struct Fpzip {
     precision: u8,
-    entropy: Entropy,
 }
 
 impl Fpzip {
@@ -43,23 +32,12 @@ impl Fpzip {
             matches!(precision, 8 | 16 | 24 | 32),
             "fpzip precision must be a multiple of 8 in 8..=32, got {precision}"
         );
-        Fpzip { precision, entropy: Entropy::Rice }
+        Fpzip { precision }
     }
 
     /// The lossless configuration (fpzip-32 for single-precision data).
     pub fn lossless() -> Self {
         Fpzip::new(32)
-    }
-
-    /// Select the residual entropy coder (default [`Entropy::Rice`]).
-    pub fn with_entropy(mut self, entropy: Entropy) -> Self {
-        self.entropy = entropy;
-        self
-    }
-
-    /// The entropy coder in use.
-    pub fn entropy(&self) -> Entropy {
-        self.entropy
     }
 
     fn dropped_bits(&self) -> u32 {
@@ -161,40 +139,18 @@ impl Codec for Fpzip {
 
         let mut out = Vec::new();
         crate::write_layout_header(&mut out, layout);
-        match self.entropy {
-            Entropy::Rice => {
-                let mut w = BitWriter::new();
-                w.write_bits(self.precision as u64, 8);
-                w.write_bits(0, 8); // entropy tag
-                for block in residuals.chunks(RICE_BLOCK) {
-                    let k = rice_k_for(block);
-                    w.write_bits(k as u64, 6);
-                    for &r in block {
-                        w.write_rice(r, k);
-                    }
-                }
-                out.extend(w.finish());
-                out
-            }
-            Entropy::Range => {
-                // Adaptive coding of (bit-length, low bits): the length
-                // tree learns the residual distribution; the low bits are
-                // near-uniform and go in directly.
-                out.extend([self.precision, 1u8]);
-                let mut enc = cc_lossless::range::RangeEncoder::new();
-                let mut len_tree = cc_lossless::range::BitTree::new(6);
-                for &r in &residuals {
-                    let nbits = 64 - r.leading_zeros();
-                    len_tree.encode(&mut enc, nbits);
-                    if nbits > 1 {
-                        // MSB is implied by the length.
-                        enc.encode_direct(r & ((1u64 << (nbits - 1)) - 1), nbits - 1);
-                    }
-                }
-                out.extend(enc.finish());
-                out
+        let mut w = BitWriter::new();
+        w.write_bits(self.precision as u64, 8);
+        w.write_bits(0, 8); // entropy tag: always 0 (Rice)
+        for block in residuals.chunks(RICE_BLOCK) {
+            let k = rice_k_for(block);
+            w.write_bits(k as u64, 6);
+            for &r in block {
+                w.write_rice(r, k);
             }
         }
+        out.extend(w.finish());
+        out
     }
 
     fn decompress(&self, bytes: &[u8], layout: Layout) -> Result<Vec<f32>, CodecError> {
@@ -206,74 +162,49 @@ impl Codec for Fpzip {
         if precision != self.precision {
             return Err(CodecError::Corrupt("precision header mismatch"));
         }
-        let entropy_tag = bytes[1];
+        if bytes[1] != 0 {
+            return Err(CodecError::Corrupt("unknown fpzip entropy tag"));
+        }
         let drop = self.dropped_bits();
         let n = layout.len();
         let npts = layout.npts;
         let mut ints = vec![0u32; n];
 
-        // Reconstruct from a residual source shared by both entropy paths.
-        let reconstruct = |i: usize, zz: u64, ints: &mut [u32]| -> Result<(), CodecError> {
-            // Honest residuals fit 35 bits zigzagged (difference of u32s
-            // against a 3-term Lorenzo prediction); anything bigger is
-            // corrupt and would overflow the shift below.
-            if zz > 1u64 << 36 {
-                return Err(CodecError::Corrupt("residual out of range"));
+        let mut r = BitReader::new(bytes);
+        r.read_bits(16)?; // header
+        let mut i = 0usize;
+        while i < n {
+            let block_len = RICE_BLOCK.min(n - i);
+            let k = r.read_bits(6)? as u32;
+            if k > 40 {
+                return Err(CodecError::Corrupt("bad rice parameter"));
             }
-            let res = unzigzag(zz) << drop;
-            let lev = i / npts;
-            let p = i % npts;
-            let pred: i64 = match (lev > 0, p > 0) {
-                (true, true) => {
-                    ints[i - 1] as i64 + ints[i - npts] as i64 - ints[i - npts - 1] as i64
+            for _ in 0..block_len {
+                let zz = r.read_rice(k)?;
+                // Honest residuals fit 35 bits zigzagged (difference of u32s
+                // against a 3-term Lorenzo prediction); anything bigger is
+                // corrupt and would overflow the shift below.
+                if zz > 1u64 << 36 {
+                    return Err(CodecError::Corrupt("residual out of range"));
                 }
-                (true, false) => ints[i - npts] as i64,
-                (false, true) => ints[i - 1] as i64,
-                (false, false) => 0,
-            };
-            let v = pred + res;
-            if !(0..=u32::MAX as i64).contains(&v) {
-                return Err(CodecError::Corrupt("reconstructed int out of range"));
-            }
-            ints[i] = v as u32;
-            Ok(())
-        };
-
-        match entropy_tag {
-            0 => {
-                let mut r = BitReader::new(bytes);
-                r.read_bits(16)?; // header
-                let mut i = 0usize;
-                while i < n {
-                    let block_len = RICE_BLOCK.min(n - i);
-                    let k = r.read_bits(6)? as u32;
-                    if k > 40 {
-                        return Err(CodecError::Corrupt("bad rice parameter"));
+                let res = unzigzag(zz) << drop;
+                let lev = i / npts;
+                let p = i % npts;
+                let pred: i64 = match (lev > 0, p > 0) {
+                    (true, true) => {
+                        ints[i - 1] as i64 + ints[i - npts] as i64 - ints[i - npts - 1] as i64
                     }
-                    for _ in 0..block_len {
-                        let zz = r.read_rice(k)?;
-                        reconstruct(i, zz, &mut ints)?;
-                        i += 1;
-                    }
+                    (true, false) => ints[i - npts] as i64,
+                    (false, true) => ints[i - 1] as i64,
+                    (false, false) => 0,
+                };
+                let v = pred + res;
+                if !(0..=u32::MAX as i64).contains(&v) {
+                    return Err(CodecError::Corrupt("reconstructed int out of range"));
                 }
+                ints[i] = v as u32;
+                i += 1;
             }
-            1 => {
-                let mut dec = cc_lossless::range::RangeDecoder::new(&bytes[2..])?;
-                let mut len_tree = cc_lossless::range::BitTree::new(6);
-                for i in 0..n {
-                    let nbits = len_tree.decode(&mut dec)?;
-                    if nbits > 40 {
-                        return Err(CodecError::Corrupt("bad residual length"));
-                    }
-                    let zz = match nbits {
-                        0 => 0u64,
-                        1 => 1u64,
-                        _ => (1u64 << (nbits - 1)) | dec.decode_direct(nbits - 1)?,
-                    };
-                    reconstruct(i, zz, &mut ints)?;
-                }
-            }
-            _ => return Err(CodecError::Corrupt("unknown fpzip entropy tag")),
         }
         Ok(ints.into_iter().map(inverse_map).collect())
     }
@@ -398,39 +329,17 @@ mod tests {
     }
 
     #[test]
-    fn range_entropy_is_lossless_too() {
-        let (data, layout) = smooth_field(3000, 2);
-        let codec = Fpzip::lossless().with_entropy(Entropy::Range);
-        let (back, _) = roundtrip(&codec, &data, layout);
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn range_entropy_beats_or_matches_rice() {
-        let (data, layout) = smooth_field(8000, 2);
-        for bits in [16u8, 24, 32] {
-            let rice = Fpzip::new(bits).compress(&data, layout).len();
-            let range = Fpzip::new(bits).with_entropy(Entropy::Range).compress(&data, layout).len();
-            // The adaptive coder should be at least competitive (within 2%).
-            assert!(
-                range as f64 <= rice as f64 * 1.02,
-                "bits={bits}: range {range} vs rice {rice}"
-            );
-        }
-    }
-
-    #[test]
-    fn streams_are_self_describing_across_entropy_modes() {
-        // A Rice-mode decoder instance can decode a Range-mode stream of
-        // the same precision: the tag is in the header.
+    fn nonzero_entropy_tag_is_corrupt() {
+        // Byte 1 after the layout header tags the entropy coder; Rice (0)
+        // is the only one, so any other tag is a damaged stream.
         let (data, layout) = smooth_field(1000, 1);
-        let bytes = Fpzip::new(24).with_entropy(Entropy::Range).compress(&data, layout);
-        let back = Fpzip::new(24).decompress(&bytes, layout).unwrap();
-        assert_eq!(back.len(), data.len());
-        let bytes2 = Fpzip::new(24).compress(&data, layout);
+        let codec = Fpzip::new(24);
+        let mut bytes = codec.compress(&data, layout);
+        assert_eq!(bytes[crate::LAYOUT_HEADER_LEN + 1], 0);
+        bytes[crate::LAYOUT_HEADER_LEN + 1] = 1;
         assert_eq!(
-            Fpzip::new(24).with_entropy(Entropy::Range).decompress(&bytes2, layout).unwrap(),
-            back
+            codec.decompress(&bytes, layout),
+            Err(CodecError::Corrupt("unknown fpzip entropy tag"))
         );
     }
 

@@ -31,6 +31,9 @@ const WAVELET_LEVELS: usize = 3;
 /// Rice coding block size for coefficients.
 const RICE_BLOCK: usize = 512;
 
+/// The decimal scale factors [`Grib2::fixed`] accepts.
+pub const DECIMAL_SCALES: std::ops::RangeInclusive<i32> = -30..=30;
+
 /// Decimal-scale policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DScale {
@@ -43,52 +46,27 @@ pub enum DScale {
     Fixed(i32),
 }
 
-/// Second-stage coding of the scaled integers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Packing {
-    /// JPEG2000-class: reversible CDF 5/3 wavelet + Rice coding — the
-    /// configuration the paper evaluates.
-    Jpeg2000,
-    /// WMO "complex packing with spatial differencing" (GRIB2 template
-    /// 5.3): second-order differences along the scan order, Rice-coded.
-    /// The production-meteorology alternative when no J2K library is
-    /// available; compared against Jpeg2000 in the ablation benches.
-    ComplexDiff,
-}
-
 /// The GRIB2+JPEG2000 codec.
 #[derive(Debug, Clone, Copy)]
 pub struct Grib2 {
     dscale: DScale,
-    packing: Packing,
 }
 
 impl Grib2 {
     /// Magnitude-adaptive decimal scaling (the paper's presented variant).
     pub fn auto() -> Self {
-        Grib2 { dscale: DScale::Auto, packing: Packing::Jpeg2000 }
+        Grib2 { dscale: DScale::Auto }
     }
 
     /// Fixed decimal scale factor `D`.
     pub fn fixed(d: i32) -> Self {
-        assert!((-30..=30).contains(&d), "decimal scale out of range");
-        Grib2 { dscale: DScale::Fixed(d), packing: Packing::Jpeg2000 }
-    }
-
-    /// Select the second-stage packing (default [`Packing::Jpeg2000`]).
-    pub fn with_packing(mut self, packing: Packing) -> Self {
-        self.packing = packing;
-        self
+        assert!(DECIMAL_SCALES.contains(&d), "decimal scale out of range");
+        Grib2 { dscale: DScale::Fixed(d) }
     }
 
     /// The policy in use.
     pub fn dscale(&self) -> DScale {
         self.dscale
-    }
-
-    /// The second-stage packing in use.
-    pub fn packing(&self) -> Packing {
-        self.packing
     }
 
     /// Magnitude-based choice of `D` for a level with the given range:
@@ -199,28 +177,8 @@ impl Codec for Grib2 {
                 }
             }
 
-            // Second stage: JPEG2000-class wavelet or WMO complex packing
-            // with spatial differencing. Both are exactly invertible.
-            match self.packing {
-                Packing::Jpeg2000 => {
-                    crate::wavelet::fwd53_2d(&mut field, rows, cols, WAVELET_LEVELS);
-                }
-                Packing::ComplexDiff => {
-                    // Second-order differences along the scan order
-                    // (template 5.3's spatial differencing). Wrapping, so
-                    // the inverse integration can wrap identically on
-                    // corrupt-stream extremes without trapping.
-                    for i in (2..field.len()).rev() {
-                        field[i] = field[i]
-                            .wrapping_sub(field[i - 1].wrapping_mul(2))
-                            .wrapping_add(field[i - 2]);
-                    }
-                    if field.len() >= 2 {
-                        let d1 = field[1].wrapping_sub(field[0]);
-                        field[1] = d1;
-                    }
-                }
-            }
+            // Second stage: the JPEG2000-class wavelet, exactly invertible.
+            crate::wavelet::fwd53_2d(&mut field, rows, cols, WAVELET_LEVELS);
             for block in field.chunks(RICE_BLOCK) {
                 let zz: Vec<u64> = block.iter().map(|&v| zigzag(v)).collect();
                 let k = rice_k_for(&zz);
@@ -280,22 +238,7 @@ impl Codec for Grib2 {
                 }
                 i += n;
             }
-            match self.packing {
-                Packing::Jpeg2000 => {
-                    crate::wavelet::inv53_2d(&mut field, rows, cols, WAVELET_LEVELS);
-                }
-                Packing::ComplexDiff => {
-                    if field.len() >= 2 {
-                        field[1] = field[1].wrapping_add(field[0]);
-                    }
-                    for i in 2..field.len() {
-                        let v = field[i]
-                            .wrapping_add(field[i - 1].wrapping_mul(2))
-                            .wrapping_sub(field[i - 2]);
-                        field[i] = v;
-                    }
-                }
-            }
+            crate::wavelet::inv53_2d(&mut field, rows, cols, WAVELET_LEVELS);
             for (p, &m) in missing.iter().enumerate() {
                 if m {
                     out.push(FILL);
@@ -435,47 +378,6 @@ mod tests {
         let codec = Grib2::auto();
         let bytes = codec.compress(&data, layout);
         assert!(codec.decompress(&bytes[..4], layout).is_err());
-    }
-
-    #[test]
-    fn complex_packing_roundtrips_with_same_bound() {
-        let (data, layout) = smooth_field(3000, 2);
-        for d in [1i32, 2] {
-            let codec = Grib2::fixed(d).with_packing(Packing::ComplexDiff);
-            let (back, _) = roundtrip(&codec, &data, layout);
-            let bound = 0.5 * 10f64.powi(-d) + 1e-4;
-            for (&a, &b) in data.iter().zip(&back) {
-                assert!((a as f64 - b as f64).abs() <= bound, "D={d}: {a} -> {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn complex_packing_handles_specials_and_constants() {
-        let mut data = vec![7.5f32; 800];
-        for i in (0..800).step_by(9) {
-            data[i] = 1.0e35;
-        }
-        let layout = Layout::linear(800);
-        let codec = Grib2::auto().with_packing(Packing::ComplexDiff);
-        let (back, _) = roundtrip(&codec, &data, layout);
-        for (&a, &b) in data.iter().zip(&back) {
-            if a == 1.0e35 {
-                assert_eq!(b, 1.0e35);
-            } else {
-                assert!((a - b).abs() < 1e-2);
-            }
-        }
-    }
-
-    #[test]
-    fn packing_modes_both_compress_smooth_data() {
-        let (data, layout) = smooth_field(8192, 1);
-        let j2k = Grib2::auto().compress(&data, layout).len();
-        let diff = Grib2::auto().with_packing(Packing::ComplexDiff).compress(&data, layout).len();
-        let raw = data.len() * 4;
-        assert!(j2k < raw / 2, "j2k CR {}", j2k as f64 / raw as f64);
-        assert!(diff < raw / 2, "diff CR {}", diff as f64 / raw as f64);
     }
 
     #[test]

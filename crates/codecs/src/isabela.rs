@@ -29,42 +29,20 @@ const NCOEFF: usize = 30;
 /// Windows smaller than this are stored raw (spline fit is pointless).
 const MIN_FIT: usize = 16;
 
-/// Curve-fitting family for the sorted window — "a curve-fitting
-/// approximation, such as a B-spline or wavelet" (Section 2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fit {
-    /// Least-squares cubic B-spline (the variant the paper evaluates:
-    /// "We apply the B-spline variant of ISABELA").
-    BSpline,
-    /// Truncated linear-lifting wavelet approximation of the sorted curve.
-    Wavelet,
-}
-
 /// ISABELA with a per-point relative error bound (e.g. `0.01` = 1.0%,
 /// matching the paper's ISA-1.0 variant).
 #[derive(Debug, Clone, Copy)]
 pub struct Isabela {
     rel_err: f64,
-    fit: Fit,
 }
 
 impl Isabela {
     /// Create with a relative-error bound (fraction, not percent); uses
-    /// the paper's B-spline fit.
+    /// the paper's B-spline fit ("We apply the B-spline variant of
+    /// ISABELA").
     pub fn new(rel_err: f64) -> Self {
         assert!(rel_err > 0.0 && rel_err < 1.0, "rel_err must be in (0,1)");
-        Isabela { rel_err, fit: Fit::BSpline }
-    }
-
-    /// Select the curve-fitting family.
-    pub fn with_fit(mut self, fit: Fit) -> Self {
-        self.fit = fit;
-        self
-    }
-
-    /// The fit family in use.
-    pub fn fit(&self) -> Fit {
-        self.fit
+        Isabela { rel_err }
     }
 
     /// The paper's three variants: ISA-1.0, ISA-0.5, ISA-0.1 (percent).
@@ -105,18 +83,12 @@ impl Isabela {
             .extend(scratch.packed.iter().map(|&p| window[(p & 0xFFFF_FFFF) as usize] as f64));
         let sorted = &scratch.sorted;
 
-        // Fit the sorted, monotone curve with the configured family.
+        // Fit the sorted, monotone curve with a cubic B-spline.
         // Coefficients are rounded to f32 *before* the correction pass so
         // encoder and decoder evaluate the identical curve.
         let ncoeff = NCOEFF.min(n / 2).max(4);
-        if self.fit == Fit::BSpline {
-            scratch.basis.ensure(n, ncoeff);
-        }
-        scratch.coeffs.clear();
-        match self.fit {
-            Fit::BSpline => fit_bspline_cached(sorted, ncoeff, &scratch.basis, &mut scratch.ata, &mut scratch.coeffs),
-            Fit::Wavelet => scratch.coeffs.extend(fit_wavelet(sorted, ncoeff)),
-        }
+        scratch.basis.ensure(n, ncoeff);
+        fit_bspline_cached(sorted, ncoeff, &scratch.basis, &mut scratch.ata, &mut scratch.coeffs);
         for c in scratch.coeffs.iter_mut() {
             *c = *c as f32 as f64;
         }
@@ -140,7 +112,7 @@ impl Isabela {
         scratch.qs.clear();
         scratch.escapes.clear();
         for (s, &v) in sorted.iter().enumerate() {
-            let fit = self.eval_curve_cached(coeffs, s, n, &scratch.basis);
+            let fit = scratch.basis.eval(coeffs, s);
             let step = self.rel_err * fit.abs().max(1e-300);
             let q = ((v - fit) / step).round();
             let recon = (fit + q * step) as f32;
@@ -206,12 +178,10 @@ impl Isabela {
         if k > 40 {
             return Err(CodecError::Corrupt("bad rice parameter"));
         }
-        if self.fit == Fit::BSpline {
-            basis.ensure(n, ncoeff);
-        }
+        basis.ensure(n, ncoeff);
         let mut sorted: Vec<f32> = Vec::with_capacity(n);
         for s in 0..n {
-            let fit = self.eval_curve_cached(&coeffs, s, n, basis);
+            let fit = basis.eval(&coeffs, s);
             let q = unzigzag_i64(r.read_rice(k)?) as f64;
             let step = self.rel_err * fit.abs().max(1e-300);
             sorted.push((fit + q * step) as f32);
@@ -245,55 +215,39 @@ impl Isabela {
         layout: Layout,
         window_idx: usize,
     ) -> Result<Vec<f32>, CodecError> {
-        let bytes = crate::check_layout_header(bytes, layout)?;
+        let body = crate::check_layout_header(bytes, layout)?;
         let n_total = layout.len();
         let n_windows = n_total.div_ceil(WINDOW);
         if window_idx >= n_windows {
             return Err(CodecError::Corrupt("window index out of range"));
         }
-        // Offset table: n_windows u32 byte offsets after a 4-byte count.
-        if bytes.len() < 4 + 4 * n_windows {
-            return Err(CodecError::Corrupt("truncated window table"));
-        }
-        let count = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        if count != n_windows {
-            return Err(CodecError::LayoutMismatch);
-        }
-        let off_pos = 4 + 4 * window_idx;
-        let off = u32::from_le_bytes([
-            bytes[off_pos],
-            bytes[off_pos + 1],
-            bytes[off_pos + 2],
-            bytes[off_pos + 3],
-        ]) as usize;
-        if off > bytes.len() {
-            return Err(CodecError::Corrupt("window offset out of range"));
-        }
+        let window = window_table(body, n_windows)?;
         let n = WINDOW.min(n_total - window_idx * WINDOW);
-        let mut r = BitReader::new(&bytes[off..]);
+        let mut r = BitReader::new(window(window_idx)?);
         self.decompress_window_inner(&mut r, n, &mut BasisCache::default())
     }
 }
 
-impl Isabela {
-    /// Evaluate the fitted curve at sorted position `s`, using the basis
-    /// cache for the B-spline family (the caller must have `ensure`d it
-    /// for this `(n, coeffs.len())`).
-    fn eval_curve_cached(&self, coeffs: &[f64], s: usize, n: usize, basis: &BasisCache) -> f64 {
-        match self.fit {
-            Fit::BSpline => {
-                let (first, wts) = basis.at(s);
-                let mut v = 0.0;
-                for a in 0..4 {
-                    if first + a < coeffs.len() {
-                        v += wts[a] * coeffs[first + a];
-                    }
-                }
-                v
-            }
-            Fit::Wavelet => eval_wavelet(coeffs, s, n),
-        }
+/// Check the random-access window table at the head of the post-header
+/// `body` — a u32 window count, which must equal `n_windows`, then one u32
+/// byte offset per window — and return the lookup from a window index
+/// (`< n_windows`) to the bytes from that window's offset on.
+fn window_table<'a>(
+    body: &'a [u8],
+    n_windows: usize,
+) -> Result<impl Fn(usize) -> Result<&'a [u8], CodecError>, CodecError> {
+    if body.len() < 4 + 4 * n_windows {
+        return Err(CodecError::Corrupt("truncated window table"));
     }
+    let u32_at = move |p: usize| {
+        u32::from_le_bytes([body[p], body[p + 1], body[p + 2], body[p + 3]]) as usize
+    };
+    if u32_at(0) != n_windows {
+        return Err(CodecError::LayoutMismatch);
+    }
+    Ok(move |widx: usize| {
+        body.get(u32_at(4 + 4 * widx)..).ok_or(CodecError::Corrupt("window offset out of range"))
+    })
 }
 
 /// Per-field scratch threaded through [`Isabela::compress_window`]: the
@@ -356,6 +310,20 @@ impl BasisCache {
         let (first, ref wts) = self.entries[s];
         (first as usize, wts)
     }
+
+    /// Evaluate the spline with `coeffs` at sorted position `s` (the table
+    /// must be `ensure`d for this `(n, coeffs.len())`).
+    #[inline]
+    fn eval(&self, coeffs: &[f64], s: usize) -> f64 {
+        let (first, wts) = self.at(s);
+        let mut v = 0.0;
+        for a in 0..4 {
+            if first + a < coeffs.len() {
+                v += wts[a] * coeffs[first + a];
+            }
+        }
+        v
+    }
 }
 
 /// Map an `f32` to a `u32` whose unsigned order matches `<` on all
@@ -406,33 +374,6 @@ fn radix_sort_by_high32(packed: &mut Vec<u64>, tmp: &mut Vec<u64>) {
         }
         std::mem::swap(packed, tmp);
     }
-}
-
-/// "Wavelet" fit: the low-pass branch of a linear-lifting wavelet — the
-/// sorted curve sampled at `c` dyadic knots; synthesis is the linear
-/// interpolation the lifting scheme's inverse performs when all detail
-/// coefficients are truncated to zero.
-fn fit_wavelet(sorted: &[f64], c: usize) -> Vec<f64> {
-    let n = sorted.len();
-    (0..c)
-        .map(|j| {
-            let idx = if c <= 1 { 0 } else { j * (n - 1) / (c - 1) };
-            sorted[idx]
-        })
-        .collect()
-}
-
-/// Synthesis for [`fit_wavelet`]: piecewise-linear interpolation of the
-/// knot values at sorted position `s`.
-fn eval_wavelet(coeffs: &[f64], s: usize, n: usize) -> f64 {
-    let c = coeffs.len();
-    if c == 1 || n <= 1 {
-        return coeffs[0];
-    }
-    let u = s as f64 / (n - 1) as f64 * (c - 1) as f64;
-    let j = (u.floor() as usize).min(c - 2);
-    let t = u - j as f64;
-    coeffs[j] * (1.0 - t) + coeffs[j + 1] * t
 }
 
 #[inline]
@@ -644,30 +585,14 @@ impl Codec for Isabela {
         let body = crate::check_layout_header(bytes, layout)?;
         let n_total = layout.len();
         let n_windows = n_total.div_ceil(WINDOW);
-        if body.len() < 4 + 4 * n_windows {
-            return Err(CodecError::Corrupt("truncated window table"));
-        }
-        let count = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-        if count != n_windows {
-            return Err(CodecError::LayoutMismatch);
-        }
+        let window = window_table(body, n_windows)?;
         // One basis cache serves every window of the field (they share
         // `(n, ncoeff)` except possibly the final partial window).
         let mut basis = BasisCache::default();
         let mut out = Vec::with_capacity(n_total);
         for widx in 0..n_windows {
-            let off_pos = 4 + 4 * widx;
-            let off = u32::from_le_bytes([
-                body[off_pos],
-                body[off_pos + 1],
-                body[off_pos + 2],
-                body[off_pos + 3],
-            ]) as usize;
-            if off > body.len() {
-                return Err(CodecError::Corrupt("window offset out of range"));
-            }
             let n = WINDOW.min(n_total - widx * WINDOW);
-            let mut r = BitReader::new(&body[off..]);
+            let mut r = BitReader::new(window(widx)?);
             out.extend(self.decompress_window_inner(&mut r, n, &mut basis)?);
         }
         Ok(out)
@@ -816,41 +741,6 @@ mod tests {
         cholesky_solve(&mut a, &mut b, 2);
         assert!((b[0] - 1.5).abs() < 1e-12);
         assert!((b[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wavelet_variant_honors_error_bound() {
-        let (data, layout) = smooth_field(4000, 1);
-        let codec = Isabela::new(0.005).with_fit(Fit::Wavelet);
-        let (back, _) = roundtrip(&codec, &data, layout);
-        for (&a, &b) in data.iter().zip(&back) {
-            let rel = ((a as f64 - b as f64) / (a as f64).abs().max(1e-30)).abs();
-            assert!(rel <= 0.005 + 1e-9, "rel {rel}");
-        }
-    }
-
-    #[test]
-    fn wavelet_variant_on_noisy_data() {
-        let (data, layout) = noisy_field(3000);
-        let codec = Isabela::new(0.01).with_fit(Fit::Wavelet);
-        let (back, n) = roundtrip(&codec, &data, layout);
-        for (&a, &b) in data.iter().zip(&back) {
-            let rel = ((a as f64 - b as f64) / (a as f64).abs().max(1e-30)).abs();
-            assert!(rel <= 0.01 + 1e-9, "rel {rel}");
-        }
-        assert!(n < data.len() * 4, "must still compress");
-    }
-
-    #[test]
-    fn eval_wavelet_interpolates_exactly_at_knots() {
-        // n−1 divisible by c−1 ⇒ knot positions land on exact samples.
-        let sorted: Vec<f64> = (0..101).map(|i| (i as f64).powf(1.3)).collect();
-        let coeffs = fit_wavelet(&sorted, 11);
-        for j in 0..11 {
-            let s = j * 10;
-            let f = eval_wavelet(&coeffs, s, 101);
-            assert!((f - sorted[s]).abs() < 1e-12, "knot {j}: {f} vs {}", sorted[s]);
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::apax::Apax;
 use crate::fpzip::Fpzip;
-use crate::grib2::Grib2;
+use crate::grib2::{Grib2, DECIMAL_SCALES};
 use crate::guard::SpecialValueGuard;
 use crate::isabela::Isabela;
 use crate::obs_wrap::ObsCodec;
@@ -27,8 +27,8 @@ pub enum Variant {
         /// `None` = magnitude-adaptive; `Some(d)` = fixed decimal scale.
         decimal_scale: Option<i32>,
     },
-    /// APAX at a fixed compression rate (2, 4, 5; 6-7 in the extension
-    /// sweep). Rate 1 denotes APAX's lossless mode.
+    /// APAX at a fixed compression rate (the paper's 2, 4 and 5). Rate 1
+    /// denotes APAX's lossless mode.
     Apax {
         /// Fixed compression rate.
         rate: f64,
@@ -136,17 +136,27 @@ impl Variant {
 
     /// Resolve a display name (case-insensitive) back to a variant.
     /// Covers the paper set, the lossless fallbacks `NetCDF-4` and
-    /// `fpzip-32`, and SZ bounds: any `SZ-abs-<e>` / `SZ-rel-<r>` with a
-    /// positive finite parameter parses, so arbitrary bounds travel over
-    /// the `ccc verify --codec` and `cc-serve` wire interfaces.
+    /// `fpzip-32`, fixed-scale GRIB2 (`GRIB2(D=<d>)`, the tuner's picks)
+    /// and SZ bounds: any `SZ-abs-<e>` / `SZ-rel-<r>` with a positive
+    /// finite parameter parses, so arbitrary bounds travel over the
+    /// `ccc verify --codec` and `cc-serve` wire interfaces.
     pub fn by_name(name: &str) -> Option<Variant> {
-        if let Some(v) = Variant::parse_sz(name) {
+        if let Some(v) = Variant::parse_sz(name).or_else(|| Variant::parse_grib2(name)) {
             return Some(v);
         }
         Variant::paper_set()
             .into_iter()
             .chain([Variant::NetCdf4, Variant::Fpzip { bits: 32 }])
             .find(|v| v.name().eq_ignore_ascii_case(name))
+    }
+
+    /// Parse `GRIB2(D=<d>)` (case-insensitive). Names arrive from the
+    /// wire, so a `d` outside [`DECIMAL_SCALES`] is `None`, never a call
+    /// into [`Grib2::fixed`]'s assert.
+    fn parse_grib2(name: &str) -> Option<Variant> {
+        let lower = name.to_ascii_lowercase();
+        let d: i32 = lower.strip_prefix("grib2(d=")?.strip_suffix(')')?.parse().ok()?;
+        DECIMAL_SCALES.contains(&d).then_some(Variant::Grib2 { decimal_scale: Some(d) })
     }
 
     /// Parse `SZ-abs-<float>` / `SZ-rel-<float>` (case-insensitive).
@@ -212,15 +222,9 @@ pub enum Family {
 impl Family {
     /// The paper's four families in the column order of Table 7. The SZ
     /// extension family is deliberately excluded so the paper-pinned
-    /// tables keep their shape; use [`Family::extended`] for sweeps that
-    /// should include it.
+    /// tables keep their shape.
     pub fn all() -> [Family; 4] {
         [Family::Grib2, Family::Isabela, Family::Fpzip, Family::Apax]
-    }
-
-    /// The paper's families plus the SZ extension family.
-    pub fn extended() -> [Family; 5] {
-        [Family::Grib2, Family::Isabela, Family::Fpzip, Family::Apax, Family::Sz]
     }
 
     /// Family display name.
@@ -341,10 +345,17 @@ mod tests {
     }
 
     #[test]
-    fn sz_names_roundtrip_by_name() {
-        for v in Variant::ladder(Family::Sz) {
+    fn names_roundtrip_by_name() {
+        let rungs = Family::all().into_iter().chain([Family::Sz]).flat_map(Variant::ladder);
+        let fixed_grib2 = DECIMAL_SCALES.map(|d| Variant::Grib2 { decimal_scale: Some(d) });
+        for v in rungs.chain(fixed_grib2) {
             assert_eq!(Variant::by_name(&v.name()), Some(v), "{}", v.name());
         }
+        let d_minus_3 = Variant::Grib2 { decimal_scale: Some(-3) };
+        assert_eq!(Variant::by_name("grib2(d=-3)"), Some(d_minus_3));
+        assert!(Variant::by_name("GRIB2(D=31)").is_none());
+        assert!(Variant::by_name("GRIB2(D=-31)").is_none());
+        assert!(Variant::by_name("GRIB2(D=)").is_none());
         let abs = Variant::by_name("SZ-abs-0.25").unwrap();
         assert_eq!(abs, Variant::Sz { bound: ErrorBound::Abs(0.25) });
         assert_eq!(Variant::by_name("sz-REL-1e-4"), Some(Variant::Sz {
@@ -374,16 +385,6 @@ mod tests {
                 assert_eq!(b, 1.0e35, "SZ lost fill at {i}");
             }
         }
-    }
-
-    #[test]
-    fn extended_families_superset_paper_families() {
-        let ext = Family::extended();
-        assert_eq!(ext.len(), 5);
-        for f in Family::all() {
-            assert!(ext.contains(&f));
-        }
-        assert!(ext.contains(&Family::Sz));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Adaptive binary range coding (LZMA-style).
 //!
-//! The published fpzip uses a fast entropy coder over residual bit
-//! lengths rather than static Golomb-Rice codes. This module supplies
-//! that machinery: a carry-less binary range coder with 12-bit adaptive
-//! probabilities ([`BitModel`]) and a bit-tree helper for small alphabets.
-//! `cc-codecs` uses it as fpzip's alternative entropy stage, and the
-//! ablation benches compare it against Rice coding.
+//! A carry-less binary range coder with 12-bit adaptive probabilities
+//! ([`BitModel`]) and a bit-tree helper for small alphabets. No codec
+//! calls it yet: it is the candidate entropy stage for SZ's quantized
+//! residuals and the archive's delta frames, to be kept only if it wins
+//! end to end against DEFLATE there.
 
 use crate::Error;
 

@@ -13,16 +13,17 @@
 //!   snapshot in deterministic (sorted) order.
 //! * **Exporters** — the `cc-trace/1` `TRACE.json` span-tree + metrics
 //!   artifact with a schema validator ([`trace`]), and a progress sink
-//!   ([`progress`]) replacing ad-hoc `eprintln!` reporting.
+//!   ([`progress`](mod@progress)) replacing ad-hoc `eprintln!` reporting.
 //!
 //! **Disabled-path cost.** Recording is off by default. Every recording
 //! entry point ([`span`], [`counter_add`], [`observe`], …) begins with a
 //! single relaxed atomic load and returns immediately when its bit is
 //! clear — no allocation, no lock, no thread-local access. The
 //! `disabled_zero_alloc` test pins the no-allocation guarantee with a
-//! counting global allocator, and `cc-bench`'s `obs_overhead` bench
-//! tracks the cycle cost. Instrumentation never touches the data path,
-//! so enabling it cannot change any computed bytes or verdicts.
+//! counting global allocator, and ccbench's `trace.overhead_pct` tracks
+//! what enabled recording costs end to end. Instrumentation never touches
+//! the data path, so enabling it cannot change any computed bytes or
+//! verdicts.
 //!
 //! Spans and metrics gate independently ([`set_spans_enabled`],
 //! [`set_metrics_enabled`]): the bench harness records byte counters

@@ -291,7 +291,7 @@ fn verify(flags: &HashMap<String, String>) {
             Some(v) => vec![v],
             None => {
                 eprintln!(
-                    "unknown codec {name}; try GRIB2, APAX-4, fpzip-24, ISA-0.5, SZ-rel-1e-3, NetCDF-4"
+                    "unknown codec {name}; try GRIB2, GRIB2(D=3), APAX-4, fpzip-24, ISA-0.5, SZ-rel-1e-3, NetCDF-4"
                 );
                 exit(2);
             }
@@ -414,7 +414,7 @@ fn remote_codec(flags: &HashMap<String, String>) -> String {
     };
     if Variant::by_name(name).is_none() {
         eprintln!(
-            "unknown codec {name}; try GRIB2, APAX-4, fpzip-24, ISA-0.5, SZ-rel-1e-3, NetCDF-4"
+            "unknown codec {name}; try GRIB2, GRIB2(D=3), APAX-4, fpzip-24, ISA-0.5, SZ-rel-1e-3, NetCDF-4"
         );
         exit(2);
     }
@@ -716,7 +716,7 @@ fn archive_create(flags: &HashMap<String, String>) {
             Some(v) => ArchiveOptions::new(v),
             None => {
                 eprintln!(
-                    "unknown codec {name}; try GRIB2, APAX-4, fpzip-24, ISA-0.5, SZ-rel-1e-3, NetCDF-4"
+                    "unknown codec {name}; try GRIB2, GRIB2(D=3), APAX-4, fpzip-24, ISA-0.5, SZ-rel-1e-3, NetCDF-4"
                 );
                 exit(2);
             }
@@ -872,8 +872,8 @@ fn top(flags: &HashMap<String, String>) {
 }
 
 /// Render one `ccc top` interval: the delta between two consecutive
-/// [`StatsReport`]s. Split from the poll loop so the arithmetic is
-/// testable without a live server.
+/// [`StatsReport`](climate_compress::serve::StatsReport)s. Split from the
+/// poll loop so the arithmetic is testable without a live server.
 fn top_frame(
     prev: &climate_compress::serve::StatsReport,
     cur: &climate_compress::serve::StatsReport,
