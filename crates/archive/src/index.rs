@@ -144,10 +144,27 @@ pub struct ArchiveIndex {
 impl ArchiveIndex {
     /// Look up a variable entry by name.
     pub fn var(&self, name: &str) -> Result<&VarEntry, ArchiveError> {
+        Ok(&self.vars[self.position(name)?])
+    }
+
+    /// Position of variable `name` in [`vars`](Self::vars).
+    pub fn position(&self, name: &str) -> Result<usize, ArchiveError> {
         self.vars
             .iter()
-            .find(|v| v.name == name)
+            .position(|v| v.name == name)
             .ok_or_else(|| ArchiveError::NoSuchVariable(name.to_string()))
+    }
+
+    /// Bytes of every keyframe decoded at once: the most a reader's
+    /// keyframe cache can hold for this archive.
+    pub fn decoded_keyframe_bytes(&self) -> u64 {
+        self.vars
+            .iter()
+            .map(|v| {
+                let keys = v.frames.iter().filter(|f| f.kind == FrameKind::Key).count() as u64;
+                keys.saturating_mul(v.layout.len() as u64 * 4)
+            })
+            .fold(0, u64::saturating_add)
     }
 
     /// Total blob bytes across all variables.

@@ -1,30 +1,62 @@
 //! Random-access archive reading.
 //!
 //! `open` reads the 16-byte footer and the index section — nothing else.
-//! Every fetch then reads exactly the byte ranges of one keyframe chain.
-//! The reader counts the bytes it requests from its source so tests (and
-//! the byte-accounting acceptance gate) can pin the "never the whole
-//! file" property: `bytes_read ≤ chain bytes + index bytes ≪ file size`.
+//! Every fetch then reads exactly the byte ranges of one keyframe chain,
+//! minus the keyframe when an earlier fetch already decoded it: decoded
+//! keyframes stay with the reader, shared by all of its clones, so a
+//! served archive decodes each keyframe once. The reader counts the bytes
+//! it requests from its source so tests (and the byte-accounting
+//! acceptance gate) can pin the "never the whole file" property:
+//! `bytes_read ≤ chain bytes + index bytes ≪ file size`.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use cc_codecs::chunked::decompress_chunked;
-use cc_codecs::Variant;
+use cc_codecs::{Codec, Variant};
 
-use crate::index::{self, ArchiveIndex, FrameKind};
+use crate::index::{self, ArchiveIndex, FrameKind, VarEntry};
 use crate::source::SliceSource;
 use crate::{delta, ArchiveError, DeltaMode, FOOTER_LEN, FOOTER_MAGIC, MAGIC};
 
 /// Archive reader over any [`SliceSource`].
+///
+/// Cloning is cheap: clones share the source, the parsed index and the
+/// decoded keyframes, so concurrent requests each take a clone of one
+/// opened archive. Each clone counts its own [`bytes_read`](Self::bytes_read)
+/// onward from the value it was cloned with.
 pub struct ArchiveReader<S> {
-    src: S,
-    index: ArchiveIndex,
+    opened: Arc<Opened<S>>,
     bytes_read: u64,
     workers: usize,
+}
+
+/// Decoded keyframes by (variable position, frame index).
+type Keyframes = HashMap<(usize, usize), Arc<Vec<f32>>>;
+
+/// What every clone of a reader shares.
+struct Opened<S> {
+    src: S,
+    index: ArchiveIndex,
+    /// Keyframes decoded so far. The lock is held for lookups and
+    /// inserts only, never across a decode.
+    keyframes: Mutex<Keyframes>,
+}
+
+impl<S> Clone for ArchiveReader<S> {
+    fn clone(&self) -> Self {
+        ArchiveReader {
+            opened: Arc::clone(&self.opened),
+            bytes_read: self.bytes_read,
+            workers: self.workers,
+        }
+    }
 }
 
 impl<S: SliceSource> ArchiveReader<S> {
     /// Validate the footer, parse the index, and return a reader. Total
     /// over untrusted bytes: damaged input yields a typed error.
-    pub fn open(mut src: S) -> Result<Self, ArchiveError> {
+    pub fn open(src: S) -> Result<Self, ArchiveError> {
         let _s = cc_obs::span("archive.open");
         let file_len = src.len();
         let min = (MAGIC.len() + FOOTER_LEN) as u64;
@@ -51,7 +83,8 @@ impl<S: SliceSource> ArchiveReader<S> {
         let index_bytes = src.read_at(index_offset, index_len)?;
         bytes_read += index_len as u64;
         let index = index::decode(&index_bytes, index_offset, file_len)?;
-        Ok(ArchiveReader { src, index, bytes_read, workers: 1 })
+        let opened = Opened { src, index, keyframes: Mutex::new(HashMap::new()) };
+        Ok(ArchiveReader { opened: Arc::new(opened), bytes_read, workers: 1 })
     }
 
     /// Set the worker count for chunked keyframe decode (output does not
@@ -63,7 +96,7 @@ impl<S: SliceSource> ArchiveReader<S> {
 
     /// The validated index.
     pub fn index(&self) -> &ArchiveIndex {
-        &self.index
+        &self.opened.index
     }
 
     /// Bytes requested from the source so far (footer + index + every
@@ -72,38 +105,66 @@ impl<S: SliceSource> ArchiveReader<S> {
         self.bytes_read
     }
 
+    /// Bytes of the decoded keyframes this reader and its clones hold.
+    pub fn cached_bytes(&self) -> u64 {
+        let keyframes = self.opened.keyframes.lock().unwrap_or_else(|p| p.into_inner());
+        keyframes.values().map(|k| k.len() as u64 * 4).sum()
+    }
+
     /// Reconstruct the full field of `var` at timestep `t` by walking its
-    /// keyframe chain — the only frame blobs read.
+    /// keyframe chain — the only frame blobs read. The chain's keyframe is
+    /// decoded once per reader and reused by later fetches and clones.
     pub fn fetch_frame(&mut self, var: &str, t: usize) -> Result<Vec<f32>, ArchiveError> {
         let _s = cc_obs::span("archive.fetch_frame");
-        let entry = self.index.var(var)?.clone();
+        let opened = Arc::clone(&self.opened);
+        let v = opened.index.position(var)?;
+        let entry = &opened.index.vars[v];
         let chain = entry.chain(t)?;
-        let codec = Variant::by_name(&entry.codec)
-            .ok_or(ArchiveError::Corrupt("unknown keyframe codec"))?
-            .codec();
+        // `chain` walks parents down to the first keyframe, so its head
+        // is that keyframe and every later frame is a delta.
+        let (&key, deltas) = chain
+            .split_first()
+            .ok_or(ArchiveError::Corrupt("empty keyframe chain"))?;
+        let keyframe = self.keyframe(&opened, v, key)?;
         let allow_quantized = matches!(entry.delta, DeltaMode::Bounded(_));
         let mut recon: Option<Vec<f32>> = None;
-        for i in chain {
+        for &i in deltas {
             let f = entry.frames[i];
             let blob = self.read_frame(f.offset, f.len)?;
-            recon = Some(match f.kind {
-                FrameKind::Key => {
-                    decompress_chunked(codec.as_ref(), &blob, entry.layout, self.workers)?
-                }
-                FrameKind::Delta => {
-                    let prev = recon.ok_or(ArchiveError::Corrupt("chain starts with delta"))?;
-                    delta::decode(&blob, &prev, allow_quantized)?
-                }
-            });
+            let prev = recon.as_deref().unwrap_or(keyframe.as_slice());
+            recon = Some(delta::decode(&blob, prev, allow_quantized)?);
         }
-        recon.ok_or(ArchiveError::Corrupt("empty keyframe chain"))
+        Ok(recon.unwrap_or_else(|| keyframe.to_vec()))
+    }
+
+    /// Keyframe `i` of variable `v`: from the shared cache, or read,
+    /// decoded and cached. Two clones missing the same keyframe at once
+    /// both decode it; the results are identical, so either may stay.
+    fn keyframe(
+        &mut self,
+        opened: &Opened<S>,
+        v: usize,
+        i: usize,
+    ) -> Result<Arc<Vec<f32>>, ArchiveError> {
+        let keyframes = || opened.keyframes.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(k) = keyframes().get(&(v, i)) {
+            return Ok(Arc::clone(k));
+        }
+        let entry = &opened.index.vars[v];
+        let f = entry.frames[i];
+        let blob = self.read_frame(f.offset, f.len)?;
+        let codec = codec_of(entry)?;
+        let decoded =
+            Arc::new(decompress_chunked(codec.as_ref(), &blob, entry.layout, self.workers)?);
+        keyframes().insert((v, i), Arc::clone(&decoded));
+        Ok(decoded)
     }
 
     /// Fetch one horizontal level of `var` at timestep `t` — the random
     /// access primitive served over the wire.
     pub fn fetch_slice(&mut self, var: &str, t: usize, lev: usize) -> Result<Vec<f32>, ArchiveError> {
         let _s = cc_obs::span("archive.fetch_slice");
-        let layout = self.index.var(var)?.layout;
+        let layout = self.index().var(var)?.layout;
         if lev >= layout.nlev {
             return Err(ArchiveError::BadRequest("level out of range"));
         }
@@ -115,10 +176,9 @@ impl<S: SliceSource> ArchiveReader<S> {
     /// reading each frame exactly once.
     pub fn decode_variable(&mut self, var: &str) -> Result<Vec<Vec<f32>>, ArchiveError> {
         let _s = cc_obs::span("archive.decode_variable");
-        let entry = self.index.var(var)?.clone();
-        let codec = Variant::by_name(&entry.codec)
-            .ok_or(ArchiveError::Corrupt("unknown keyframe codec"))?
-            .codec();
+        let opened = Arc::clone(&self.opened);
+        let entry = opened.index.var(var)?;
+        let codec = codec_of(entry)?;
         let allow_quantized = matches!(entry.delta, DeltaMode::Bounded(_));
         let mut out: Vec<Vec<f32>> = Vec::with_capacity(entry.frames.len());
         for f in &entry.frames {
@@ -141,8 +201,15 @@ impl<S: SliceSource> ArchiveReader<S> {
 
     fn read_frame(&mut self, offset: u64, len: u64) -> Result<Vec<u8>, ArchiveError> {
         let len = usize::try_from(len).map_err(|_| ArchiveError::Corrupt("frame too large"))?;
-        let blob = self.src.read_at(offset, len)?;
+        let blob = self.opened.src.read_at(offset, len)?;
         self.bytes_read += len as u64;
         Ok(blob)
     }
+}
+
+/// The keyframe codec a variable's index entry names.
+fn codec_of(entry: &VarEntry) -> Result<Box<dyn Codec>, ArchiveError> {
+    Ok(Variant::by_name(&entry.codec)
+        .ok_or(ArchiveError::Corrupt("unknown keyframe codec"))?
+        .codec())
 }

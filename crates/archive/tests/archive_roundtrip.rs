@@ -7,7 +7,9 @@
 //! * bounded mode satisfies `|x' − x| ≤ e` per element across delta
 //!   chains — quantization error must not accumulate past the bound;
 //! * a random slice fetch at a 100+-timestep archive reads only its
-//!   keyframe chain plus the index, a small fraction of the file.
+//!   keyframe chain plus the index, a small fraction of the file;
+//! * a reader decodes each keyframe once: a repeat fetch reads only its
+//!   chain's delta frames, through the reader or any clone of it.
 
 use cc_archive::{ArchiveError, ArchiveOptions, ArchiveReader, ArchiveWriter, DeltaMode};
 use cc_codecs::{ErrorBound, Layout, Variant};
@@ -174,6 +176,87 @@ fn slice_fetch_reads_only_chain_plus_index() {
             "({name}, t={t}): read {read} of {file_len} — not ≪ file size"
         );
     }
+}
+
+/// Blob bytes of the delta frames in `t`'s keyframe chain.
+fn chain_delta_bytes(entry: &cc_archive::VarEntry, t: usize) -> u64 {
+    let chain = entry.chain(t).unwrap();
+    chain[1..].iter().map(|&i| entry.frames[i].len).sum()
+}
+
+#[test]
+fn repeat_fetches_reuse_decoded_keyframes() {
+    let run = model_run(20, &["U", "FSDSC"]);
+    let opts = ArchiveOptions::new(Variant::Sz { bound: ErrorBound::Rel(1e-4) })
+        .with_bound(ErrorBound::Rel(1e-4))
+        .with_keyframe_every(6);
+    let bytes = build(&run, &opts);
+    let mut reader = ArchiveReader::open(bytes.as_slice()).unwrap();
+    let reference: Vec<Vec<Vec<f32>>> = run
+        .iter()
+        .map(|(name, _, _)| {
+            ArchiveReader::open(bytes.as_slice()).unwrap().decode_variable(name).unwrap()
+        })
+        .collect();
+    for pass in 0..2 {
+        for ((name, layout, _), full) in run.iter().zip(&reference) {
+            let entry = reader.index().var(name).unwrap().clone();
+            for (t, frame) in full.iter().enumerate() {
+                for lev in 0..layout.nlev {
+                    let before = reader.bytes_read();
+                    let slice = reader.fetch_slice(name, t, lev).unwrap();
+                    let want = &frame[lev * layout.npts..(lev + 1) * layout.npts];
+                    assert_eq!(
+                        slice.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "pass {pass}: slice ({name}, t={t}, lev={lev})"
+                    );
+                    if pass == 1 {
+                        assert_eq!(
+                            reader.bytes_read() - before,
+                            chain_delta_bytes(&entry, t),
+                            "({name}, t={t}, lev={lev}): a repeat fetch re-read its keyframe"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn clones_share_decoded_keyframes() {
+    let run = model_run(12, &["U"]);
+    let opts = ArchiveOptions::new(Variant::NetCdf4).with_keyframe_every(4);
+    let bytes = build(&run, &opts);
+    let (name, _, _) = &run[0];
+    let mut reader = ArchiveReader::open(bytes.as_slice()).unwrap();
+    assert_eq!(reader.cached_bytes(), 0);
+    let want = reader.fetch_slice(name, 6, 1).unwrap();
+    let entry = reader.index().var(name).unwrap().clone();
+    let key_bytes = entry.layout.len() as u64 * 4;
+    assert_eq!(reader.cached_bytes(), key_bytes, "one keyframe decoded");
+
+    // A clone made afterwards, on another thread, finds the keyframe
+    // already decoded and reads only the deltas.
+    let mut clone = reader.clone();
+    let (got, read) = std::thread::scope(|s| {
+        s.spawn(move || {
+            let before = clone.bytes_read();
+            let got = clone.fetch_slice(name, 6, 1).unwrap();
+            (got, clone.bytes_read() - before)
+        })
+        .join()
+        .unwrap()
+    });
+    assert_eq!(got, want);
+    assert_eq!(read, chain_delta_bytes(&entry, 6));
+    // Keyframes a clone decodes land in the shared cache too.
+    let mut other = reader.clone();
+    for t in 0..12 {
+        other.fetch_frame(name, t).unwrap();
+    }
+    assert_eq!(reader.cached_bytes(), 3 * key_bytes, "12 frames at interval 4 → 3 keyframes");
 }
 
 #[test]

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+mod archive_cache;
 pub mod client;
 mod poll;
 pub mod server;

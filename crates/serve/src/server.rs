@@ -63,9 +63,16 @@
 //! compute queue close and the pool join. The `Shutdown` opcode
 //! triggers the same path remotely.
 //!
+//! **Archives.** With an archive directory, `ArchivePut` stores a
+//! validated container durably (temp file, fsync, rename, directory
+//! fsync) and `FetchSlice` serves from an open-once cache of the stored
+//! archives — descriptor, parsed index and decoded keyframes, keyed by
+//! the held descriptor's (device, inode) — bounded by
+//! [`ARCHIVE_CACHE_ENTRIES`] and [`ARCHIVE_CACHE_BYTES`].
+//!
 //! Every stage is instrumented through `cc-obs`: the global counters
 //! (`serve.accept`, `serve.busy`, `serve.requests`, `serve.req_us`,
-//! per-opcode byte counters, …) plus per-shard counters
+//! per-opcode byte counters, `archive.cache.*`, …) plus per-shard counters
 //! (`serve.shard{i}.frames`, `.wakes`, `.bytes_in`, `.bytes_out`,
 //! `.conns`) and a per-shard `serve.shard{i}.wake_msgs` histogram — all
 //! exportable through the usual `--trace` / `TRACE.json` path.
@@ -76,8 +83,9 @@ use crate::wire::{
     FetchSliceRequest, Frame, FrameDecoder, Opcode, WireError, MAX_TELEMETRY_NODES, OP_BUSY,
     OP_ERROR, OP_STREAM, OP_TELEMETRY,
 };
+use crate::archive_cache::{ArchiveCache, OpenError};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use cc_archive::{ArchiveError, ArchiveReader, FileSource};
+use cc_archive::{ArchiveError, ArchiveReader};
 use cc_obs::SpanNode;
 use std::cell::RefCell;
 use cc_codecs::chunked::{compress_chunked_stream, decompress_chunked};
@@ -177,6 +185,16 @@ impl Default for ServerConfig {
 /// stops reading more bytes from it (per-connection flow control).
 pub const PENDING_CAP: usize = 32;
 
+/// Stored archives kept open for `FetchSlice`: each cached archive holds
+/// one file descriptor, so this bounds the descriptors the cache pins.
+pub const ARCHIVE_CACHE_ENTRIES: usize = 64;
+
+/// Budget for decoded keyframes across the cached archives, counted as
+/// each admitted archive's worst case from its index (keyframes ×
+/// layout elements × 4 B), so the cache's keyframe memory can never
+/// exceed it. An archive larger than this alone is served uncached.
+pub const ARCHIVE_CACHE_BYTES: u64 = 256 << 20;
+
 /// Nonblocking read attempts per connection per wake (fairness bound).
 const READ_PASSES: usize = 4;
 /// Write slices attempted per connection per wake (fairness bound).
@@ -187,7 +205,10 @@ const SUBMIT_RETRY: Duration = Duration::from_micros(1_000);
 
 /// Counters registered at server start, so the `Stats` reply (and
 /// `TRACE.json`) lists them before they first move; `ccc remote stats`
-/// prints these as `name value` lines.
+/// prints these as `name value` lines. `archive.cache.entries` and
+/// `archive.cache.bytes` are gauges (archives held open, decoded keyframe
+/// bytes resident), set each time a `Stats` reply is built and when the
+/// server drains.
 pub const STAT_COUNTERS: &[&str] = &[
     "serve.accept",
     "serve.busy",
@@ -209,6 +230,11 @@ pub const STAT_COUNTERS: &[&str] = &[
     "serve.op.stats.bytes_out",
     "serve.op.archive-put.bytes_in",
     "serve.op.fetch-slice.bytes_out",
+    "archive.cache.hit",
+    "archive.cache.miss",
+    "archive.cache.evict",
+    "archive.cache.entries",
+    "archive.cache.bytes",
 ];
 
 /// Timing context a traced request accumulates on its way to the pool
@@ -312,6 +338,7 @@ struct Shared {
     acceptor_bell: Bell,
     conns: AtomicUsize,
     started: Instant,
+    archives: ArchiveCache,
 }
 
 impl Shared {
@@ -363,6 +390,7 @@ impl Server {
             acceptor_bell: Bell::new()?,
             conns: AtomicUsize::new(0),
             started: Instant::now(),
+            archives: ArchiveCache::new(ARCHIVE_CACHE_ENTRIES, ARCHIVE_CACHE_BYTES),
         });
 
         let acceptor = {
@@ -428,6 +456,8 @@ impl Server {
         if let Some(h) = self.pool.take() {
             let _ = h.join();
         }
+        // A trace written at exit then carries the final gauges.
+        self.shared.archives.publish();
     }
 }
 
@@ -1070,10 +1100,10 @@ fn handle_request(
         Opcode::FetchSlice => {
             handle_fetch_slice(&frame.payload, shared, emit).map(|p| (op.reply(), p))
         }
-        Opcode::Stats => Ok((
-            op.reply(),
-            stats_json(shared.started.elapsed().as_micros() as u64).into_bytes(),
-        )),
+        Opcode::Stats => {
+            shared.archives.publish();
+            Ok((op.reply(), stats_json(shared.started.elapsed().as_micros() as u64).into_bytes()))
+        }
         Opcode::Shutdown => {
             shared.begin_shutdown();
             Ok((op.reply(), Vec::new()))
@@ -1212,7 +1242,9 @@ fn archive_err(e: ArchiveError) -> (ErrCode, String) {
 /// Validate and store a client-supplied archive. The container is fully
 /// parsed (footer, index, chain invariants) *before* anything touches
 /// disk, and it replaces any earlier archive of that name in one rename,
-/// so every archive a request can name is a whole, well-formed file.
+/// so every archive a request can name is a whole, well-formed file. The
+/// name's cache entry goes with the old file; a fetch would miss on it
+/// anyway, since the renamed file has another inode.
 fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCode, String)> {
     let req = ArchivePutRequest::decode(payload)
         .map_err(|_| (ErrCode::BadPayload, "malformed ArchivePut payload".into()))?;
@@ -1221,16 +1253,19 @@ fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCo
         .map_err(|e| (ErrCode::BadPayload, format!("invalid archive: {e}")))?;
     let vars = reader.index().vars.len() as u32;
     let frames: u32 = reader.index().vars.iter().map(|v| v.frames.len() as u32).sum();
-    replace_file(&path, &req.bytes)
-        .map_err(|e| (ErrCode::Internal, format!("archive store failed: {e}")))?;
+    let stored = replace_file(&path, &req.bytes);
+    shared.archives.evict(&req.name);
+    stored.map_err(|e| (ErrCode::Internal, format!("archive store failed: {e}")))?;
     Ok(ArchivePutResponse { bytes: req.bytes.len() as u64, vars, frames }.encode())
 }
 
 /// Write `bytes` to a temp file beside `path`, then rename it over
 /// `path`: a concurrent reader opens either the old file or the new one,
-/// never a partial write. The temp name starts with `.`, which no
-/// archive name may ([`wire::archive_name_ok`]), so no request can
-/// address it; it is removed again if the write or rename fails.
+/// never a partial write. The temp file is synced before the rename and
+/// the directory after it, so once this returns `Ok` a crash leaves the
+/// new archive whole under `path`. The temp name starts with `.`, which
+/// no archive name may ([`wire::archive_name_ok`]), so no request can
+/// address it; it is removed again if any step fails.
 fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().unwrap_or_default().to_string_lossy();
@@ -1239,7 +1274,11 @@ fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let stored = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let stored = std::fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| std::fs::File::open(dir)?.sync_all());
     if stored.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
@@ -1247,7 +1286,9 @@ fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// Fetch one (variable, timestep, level) slice from a stored archive,
-/// decoding only the keyframe chain the footer index points at. Large
+/// decoding only the keyframe chain the footer index points at. The
+/// archive comes from the open-once cache, so a repeat fetch reads only
+/// the chain's delta frames once its keyframe has been decoded. Large
 /// slices stream as `OP_STREAM` pieces like `Compress` replies.
 fn handle_fetch_slice(
     payload: &[u8],
@@ -1257,11 +1298,12 @@ fn handle_fetch_slice(
     let req = FetchSliceRequest::decode(payload)
         .map_err(|_| (ErrCode::BadPayload, "malformed FetchSlice payload".into()))?;
     let path = archive_path(shared, &req.name)?;
-    let src = FileSource::open(&path)
-        .map_err(|_| (ErrCode::NotFound, format!("no archive named {:?}", req.name)))?;
     // Workers = 1: already inside a pool worker (the nested-context
     // guard would force it anyway).
-    let mut reader = ArchiveReader::open(src).map_err(archive_err)?;
+    let mut reader = shared.archives.reader(&req.name, &path).map_err(|e| match e {
+        OpenError::Missing => (ErrCode::NotFound, format!("no archive named {:?}", req.name)),
+        OpenError::Archive(e) => archive_err(e),
+    })?;
     let slice = reader
         .fetch_slice(&req.var, req.t as usize, req.lev as usize)
         .map_err(archive_err)?;

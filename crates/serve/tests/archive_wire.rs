@@ -1,19 +1,28 @@
 //! Archive ops against a live server: `ArchivePut` validates and
 //! stores, `FetchSlice` answers slices byte-identical to a local
 //! sequential full decode (including when the reply streams as
-//! `OP_STREAM` pieces, whose bytes are booked under fetch-slice), and
-//! the error paths come back as typed frames.
+//! `OP_STREAM` pieces, whose bytes are booked under fetch-slice), the
+//! open-archive cache never serves a replaced file and never holds more
+//! archives than its cap, and the error paths come back as typed frames.
 
 use cc_archive::{ArchiveOptions, ArchiveReader, ArchiveWriter};
 use cc_codecs::sz::ErrorBound;
 use cc_codecs::{Layout, Variant};
 use cc_grid::Resolution;
 use cc_model::Model;
+use cc_serve::server::ARCHIVE_CACHE_ENTRIES;
 use cc_serve::wire::ErrCode;
 use cc_serve::{Client, ClientError, Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, MutexGuard};
+
+/// The counters these tests read are process-wide and every test here
+/// moves them, so the tests take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn temp_archive_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cc-archive-wire-{tag}-{}", std::process::id()));
@@ -42,8 +51,22 @@ fn build_archive(nslices: usize, seed: u64) -> (Vec<u8>, Vec<Vec<f32>>, Layout) 
     (w.finish(), frames, layout)
 }
 
+/// Two archives stored under one name in turn, and the bits of each one's
+/// slice (T, t 13, level 1).
+fn two_versions() -> ([Vec<u8>; 2], [Vec<u32>; 2]) {
+    let versions = [build_archive(20, 7).0, build_archive(20, 8).0];
+    let slices = versions.clone().map(|bytes| {
+        let mut reader = ArchiveReader::open(bytes.as_slice()).expect("local open");
+        let slice = reader.fetch_slice("T", 13, 1).expect("local fetch");
+        slice.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+    });
+    assert_ne!(slices[0], slices[1], "the two versions must differ at the fetched slice");
+    (versions, slices)
+}
+
 #[test]
 fn fetched_slices_match_local_sequential_decode_over_the_wire() {
+    let _serial = serial();
     let dir = temp_archive_dir("roundtrip");
     let (bytes, _, layout) = build_archive(20, 7);
 
@@ -99,6 +122,7 @@ fn fetched_slices_match_local_sequential_decode_over_the_wire() {
 
 #[test]
 fn archive_error_paths_come_back_typed() {
+    let _serial = serial();
     let dir = temp_archive_dir("errors");
     let (bytes, _, _) = build_archive(8, 7);
     let server = Server::start(ServerConfig {
@@ -145,6 +169,7 @@ fn archive_error_paths_come_back_typed() {
 
 #[test]
 fn archive_ops_require_a_configured_directory() {
+    let _serial = serial();
     let (bytes, _, _) = build_archive(8, 7);
     let server = Server::start(ServerConfig::default()).expect("bind loopback");
     let mut client = Client::connect(&server.addr().to_string()).expect("connect");
@@ -168,17 +193,9 @@ fn archive_ops_require_a_configured_directory() {
 /// a partly written file. No temp file is left behind.
 #[test]
 fn put_replaces_atomically_under_concurrent_fetch() {
+    let _serial = serial();
     let dir = temp_archive_dir("replace");
-    let versions = [build_archive(20, 7).0, build_archive(20, 8).0];
-    let slices: Vec<Vec<u32>> = versions
-        .iter()
-        .map(|bytes| {
-            let mut reader = ArchiveReader::open(bytes.as_slice()).expect("local open");
-            let slice = reader.fetch_slice("T", 13, 1).expect("local fetch");
-            slice.iter().map(|v| v.to_bits()).collect()
-        })
-        .collect();
-    assert_ne!(slices[0], slices[1], "the two versions must differ at the fetched slice");
+    let (versions, slices) = two_versions();
 
     let server = Server::start(ServerConfig {
         archive_dir: Some(dir.clone()),
@@ -218,6 +235,74 @@ fn put_replaces_atomically_under_concurrent_fetch() {
         .collect();
     assert!(stray.is_empty(), "left behind in the archive directory: {stray:?}");
     drop(putter);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every fetch answers the slice of the *last* completed put, whether the
+/// server opens the replaced file afresh or serves its cached entry.
+#[test]
+fn fetch_after_put_serves_the_latest_version() {
+    let _serial = serial();
+    let dir = temp_archive_dir("latest");
+    let (versions, slices) = two_versions();
+
+    let server = Server::start(ServerConfig {
+        archive_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    for round in 0..20 {
+        for (v, bytes) in versions.iter().enumerate() {
+            client.archive_put("run", bytes).expect("put");
+            // The first fetch after a put opens the new file; the second
+            // is served from the cache entry that fetch left.
+            for fetch in 0..2 {
+                let got = client.fetch_slice("run", "T", 13, 1).expect("fetch");
+                let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert!(bits == slices[v], "round {round}, fetch {fetch}: not the last put's");
+            }
+        }
+    }
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fetching more stored archives than the cache holds evicts the least
+/// recently used ones: every eviction is counted, the entry gauge never
+/// exceeds the cap, and an evicted archive still serves (it reopens).
+#[test]
+fn archive_cache_holds_at_most_its_cap() {
+    let _serial = serial();
+    let dir = temp_archive_dir("cap");
+    let (bytes, _, layout) = build_archive(4, 7);
+    let server = Server::start(ServerConfig {
+        archive_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let extra = 6;
+    let n = ARCHIVE_CACHE_ENTRIES + extra;
+    let evict_before = client.stats().expect("stats").metrics.counter("archive.cache.evict");
+    for i in 0..n {
+        let name = format!("run{i}");
+        client.archive_put(&name, &bytes).expect("put");
+        let got = client.fetch_slice(&name, "T", 3, 1).expect("fetch");
+        assert_eq!(got.len(), layout.npts);
+        let entries = client.stats().expect("stats").metrics.counter("archive.cache.entries");
+        assert_eq!(entries as usize, (i + 1).min(ARCHIVE_CACHE_ENTRIES), "after {name}");
+    }
+    // `run0` was evicted first; fetching it again reopens it.
+    assert_eq!(client.fetch_slice("run0", "T", 3, 1).expect("refetch").len(), layout.npts);
+    let stats = client.stats().expect("stats").metrics;
+    assert_eq!(stats.counter("archive.cache.entries") as usize, ARCHIVE_CACHE_ENTRIES);
+    // One eviction per archive admitted past the cap, `run0`'s included.
+    let evicted = stats.counter("archive.cache.evict") - evict_before;
+    assert_eq!(evicted, extra as u64 + 1);
+    drop(client);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -836,7 +836,8 @@ fn archive_info(path: &str) {
 
 /// `ccc top`: poll the server's `cc-stats/1` metrics and render the
 /// interval delta between consecutive polls — request rates, per-opcode
-/// latency percentiles, queue depth, busy/retry rates, per-shard
+/// latency percentiles, queue depth, busy/retry rates, the archive
+/// cache's hit rate, evictions and resident keyframes, per-shard
 /// connection counts. `--once` renders one interval and exits.
 fn top(flags: &HashMap<String, String>) {
     let interval = Duration::from_millis(flag_u64(flags, "interval", 1000).max(1));
@@ -908,6 +909,20 @@ fn top_frame(
         }
     }
 
+    // Hit rate over the interval's lookups; the gauges as of this poll.
+    let hits = d.counter("archive.cache.hit");
+    let lookups = hits + d.counter("archive.cache.miss");
+    let hit_rate = match lookups {
+        0 => "-".to_string(),
+        n => format!("{:.1}%", 100.0 * hits as f64 / n as f64),
+    };
+    out.push_str(&format!(
+        "archive cache: hit rate {hit_rate} | evict/s {:.1} | resident {:.1} MiB in {} archives\n",
+        rate("archive.cache.evict"),
+        cur.counter("archive.cache.bytes") as f64 / (1u64 << 20) as f64,
+        cur.counter("archive.cache.entries"),
+    ));
+
     let mut lat = Table::new(
         "Latency (interval)",
         &["opcode", "req/s", "p50 us", "p99 us", "p999 us"],
@@ -957,4 +972,72 @@ fn top_frame(
     out.push_str(&shards.render());
     out.push('\n');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::top_frame;
+    use climate_compress::obs::{HistogramSnapshot, MetricsSnapshot};
+    use climate_compress::serve::StatsReport;
+
+    fn report(uptime_us: u64, counters: &[(&str, u64)], fetches: u64) -> StatsReport {
+        let mut counters: Vec<(String, u64)> =
+            counters.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        counters.sort();
+        // Every fetch took 300 us: log2 bucket 9 holds [256, 512).
+        let fetch_us =
+            HistogramSnapshot { count: fetches, sum: 300 * fetches, buckets: vec![(9, fetches)] };
+        StatsReport {
+            uptime_us,
+            metrics: MetricsSnapshot {
+                counters,
+                histograms: vec![("serve.req_us.fetch_slice".to_string(), fetch_us)],
+            },
+        }
+    }
+
+    #[test]
+    fn top_frame_renders_interval_rates_and_the_archive_cache() {
+        let prev = report(
+            1_000_000,
+            &[
+                ("serve.requests", 12),
+                ("archive.cache.hit", 10),
+                ("archive.cache.miss", 2),
+                ("archive.cache.evict", 1),
+                ("archive.cache.bytes", 1 << 20),
+                ("archive.cache.entries", 1),
+            ],
+            12,
+        );
+        let cur = report(
+            3_000_000,
+            &[
+                ("serve.requests", 112),
+                ("archive.cache.hit", 109),
+                ("archive.cache.miss", 3),
+                ("archive.cache.evict", 5),
+                ("archive.cache.bytes", 3 << 20),
+                ("archive.cache.entries", 2),
+            ],
+            112,
+        );
+        let frame = top_frame(&prev, &cur);
+        assert!(frame.contains("interval 2.0s"), "{frame}");
+        assert!(frame.contains("req/s 50.0 |"), "{frame}");
+        assert!(
+            frame.contains(
+                "archive cache: hit rate 99.0% | evict/s 2.0 | resident 3.0 MiB in 2 archives\n"
+            ),
+            "{frame}"
+        );
+        let row = frame.lines().find(|l| l.contains("fetch_slice")).expect("fetch_slice row");
+        assert!(row.contains("50.0") && row.contains("<= 512"), "{row}");
+
+        // No lookups in the interval: no hit rate to report.
+        let idle = top_frame(&cur, &report(4_000_000, &[("archive.cache.hit", 109)], 112));
+        let quiet = "archive cache: hit rate - | evict/s 0.0 | resident 0.0 MiB";
+        assert!(idle.contains(quiet), "{idle}");
+        assert!(!idle.contains("fetch_slice"), "idle interval lists no fetch latency: {idle}");
+    }
 }
