@@ -36,7 +36,7 @@
 //! busy rate per client count); `tune` runs the per-variable auto-tuner
 //! — the generalized enumerate-filter-minimize search over the (family ×
 //! parameter) candidate space — over the focus variables and also writes
-//! a reproducible table artifact (`tune`); `eval-bench` runs the same
+//! a reproducible table artifact (`tune`); `eval-bench` runs the tuning
 //! sweep through the pipelined verification engine with span recording
 //! on (`eval`: member synthesis and verdict rates, per-variable tune
 //! wall, per-stage self-time profile); `archive-bench` archives a
@@ -60,6 +60,13 @@
 //! machine-checks the paper's shape claims (exits non-zero on a required
 //! failure), so a full reproduction is `repro all extensions scorecard`.
 //!
+//! One run scores each variable it touches once, against the report set
+//! (`cc_core::tuning::report_set`), and keeps the verdicts. Tables 3, 4
+//! and 6–8, the (*) flags of Table 5, Figures 1–4 and `tune` all render
+//! from them; `tune` scores only the candidates the report set lacks. The
+//! focus variables also keep their contexts, for Table 5's timings,
+//! Figures 2–3, `calibration`, `ssim` and `tune`.
+//!
 //! Each experiment prints the same rows/series the paper reports and
 //! writes text + CSV artifacts under the output directory. With
 //! `--trace`, every experiment runs under an `exp.<name>` span; the
@@ -69,11 +76,13 @@
 
 use cc_bench::{RunConfig, FOCUS};
 use cc_codecs::{Codec, Variant};
-use cc_core::evaluation::{verdict_for, verdicts_for, EvalConfig, Evaluation, VariableContext};
+use cc_core::evaluation::{EvalConfig, Evaluation, VariableContext};
 use cc_core::report::{cr_fmt, render_boxplot, render_histogram, sci, BoxStats, Table};
+use cc_core::tuning::{score_vars, ScoredVariable, TuneReport};
 use cc_core::{hybrid_methods, HybridResult};
 use cc_grid::Resolution;
 use cc_metrics::FieldStats;
+use cc_model::Model;
 use cc_ncdf::{DType, Dataset, FilterPipeline};
 use cc_obs::progress;
 use std::collections::{BTreeMap, BTreeSet};
@@ -92,7 +101,7 @@ const EXPERIMENTS: &[&str] = &[
 fn main() {
     let (experiments, cfg, bench_opts, obs) = parse_args();
     obs.cli.apply();
-    let mut runner = Runner { cfg, eval: None, focus_ctx: BTreeMap::new() };
+    let mut runner = Runner { cfg, eval: None, scored: BTreeMap::new() };
     for exp in &experiments {
         let t0 = Instant::now();
         progress!(">>> running {exp} ...");
@@ -429,10 +438,20 @@ fn parse_args() -> (Vec<String>, RunConfig, BenchOpts, ObsOpts) {
     (exps, cfg, bench, obs)
 }
 
+/// Registry index of focus variable `name`, or exit 2.
+fn var_id(model: &Model, name: &str) -> usize {
+    model.var_id(name).unwrap_or_else(|| {
+        eprintln!("unknown focus variable {name}");
+        std::process::exit(2);
+    })
+}
+
 struct Runner {
     cfg: RunConfig,
     eval: Option<Evaluation>,
-    focus_ctx: BTreeMap<String, VariableContext>,
+    /// Every variable this run has scored, by registry index. The focus
+    /// variables keep their contexts.
+    scored: BTreeMap<usize, ScoredVariable>,
 }
 
 impl Runner {
@@ -450,18 +469,31 @@ impl Runner {
         self.eval.as_ref().unwrap()
     }
 
-    fn focus_context(&mut self, name: &str) -> &VariableContext {
-        if !self.focus_ctx.contains_key(name) {
-            let eval = self.eval();
-            let var = eval.model.var_id(name).unwrap_or_else(|| {
-                eprintln!("unknown focus variable {name}");
-                std::process::exit(2);
-            });
-            progress!("    building ensemble context for {name} ...");
-            let ctx = eval.context(var);
-            self.focus_ctx.insert(name.to_string(), ctx);
-        }
-        &self.focus_ctx[name]
+    /// Build and score each of `vars` not scored yet in this run: one
+    /// context build per variable, one report-set scoring per context.
+    fn score(&mut self, vars: &[usize]) {
+        self.eval();
+        let eval = self.eval.as_ref().expect("built above");
+        let missing: Vec<usize> =
+            vars.iter().copied().filter(|v| !self.scored.contains_key(v)).collect();
+        let focus = FOCUS.map(|name| var_id(&eval.model, name));
+        let scored = score_vars(eval, &missing, |v| focus.contains(&v));
+        self.scored.extend(missing.into_iter().zip(scored));
+    }
+
+    /// A focus variable's context and verdicts.
+    fn focus(&mut self, name: &str) -> (&VariableContext, &ScoredVariable) {
+        let var = var_id(&self.eval().model, name);
+        self.score(&[var]);
+        let s = &self.scored[&var];
+        (s.ctx.as_ref().expect("focus variables keep their contexts"), s)
+    }
+
+    /// Every registry variable's verdicts, in registry order.
+    fn sweep(&mut self) -> Vec<&ScoredVariable> {
+        let vars: Vec<usize> = (0..self.eval().model.registry().len()).collect();
+        self.score(&vars);
+        self.scored.values().collect()
     }
 
     fn emit(&self, name: &str, text: &str, csv: Option<&str>) {
@@ -555,22 +587,12 @@ impl Runner {
         let mut rows: Vec<Vec<String>> =
             variants.iter().map(|v| vec![v.name()]).collect();
         for name in FOCUS {
-            let ctx_cells: Vec<String> = {
-                let ctx = self.focus_context(name);
-                variants
-                    .iter()
-                    .map(|&variant| {
-                        let verdict = verdict_for(ctx, variant);
-                        let val = verdict
-                            .metrics
-                            .map(|m| if nrmse { m.nrmse } else { m.e_nmax })
-                            .unwrap_or(0.0);
-                        format!("{} ({})", sci(val), cr_fmt(verdict.cr))
-                    })
-                    .collect()
-            };
-            for (row, cell) in rows.iter_mut().zip(ctx_cells) {
-                row.push(cell);
+            let (_, scored) = self.focus(name);
+            for (row, &variant) in rows.iter_mut().zip(&variants) {
+                let verdict = scored.get(variant);
+                let val =
+                    verdict.metrics.map(|m| if nrmse { m.nrmse } else { m.e_nmax }).unwrap_or(0.0);
+                row.push(format!("{} ({})", sci(val), cr_fmt(verdict.cr)));
             }
         }
         for row in rows {
@@ -593,7 +615,7 @@ impl Runner {
         let variants = Variant::paper_set();
         let mut cells: Vec<Vec<String>> = variants.iter().map(|v| vec![v.name()]).collect();
         for name in ["U", "FSDSC"] {
-            let ctx = self.focus_context(name);
+            let (ctx, scored) = self.focus(name);
             let field = &ctx.fields[ctx.sample_idx[0]];
             for (i, &variant) in variants.iter().enumerate() {
                 let codec = variant.codec();
@@ -614,8 +636,7 @@ impl Runner {
                 let cr = bytes.len() as f64 / ctx.raw_bytes() as f64;
                 // Flag variants whose quality fails the tests, as the
                 // paper's (*) footnote does for FSDSC.
-                let verdict = verdict_for(ctx, variant);
-                let star = if verdict.all_pass() { "" } else { "(*)" };
+                let star = if scored.get(variant).all_pass() { "" } else { "(*)" };
                 cells[i].push(format!("{:.4}", comp_times[1]));
                 cells[i].push(format!("{:.4}", reco_times[1]));
                 cells[i].push(format!("{}{}", cr_fmt(cr), star));
@@ -635,37 +656,16 @@ impl Runner {
             "Table 6: Number of passes for all compression methods on 170 variables",
             &["Method", "rho", "RMSZ ens.", "Enmax ens.", "bias", "all"],
         );
-        let variants = Variant::paper_set();
-        // One context per variable scored against all variants at once —
-        // the next variable's context builds while this one is scored.
-        let mut tallies: Vec<[usize; 5]> = vec![[0; 5]; variants.len()];
-        {
-            let eval = self.eval();
-            let nvars = eval.model.registry().len();
-            let vars: Vec<usize> = (0..nvars).collect();
-            let mut done = 0usize;
-            eval.map_contexts(&vars, |ctx| {
-                if done.is_multiple_of(17) {
-                    progress!("    table6: variable {done}/{nvars} ({})", ctx.spec.name);
-                }
-                done += 1;
-                for (vi, v) in verdicts_for(ctx, &variants).iter().enumerate() {
-                    tallies[vi][0] += v.pearson_pass as usize;
-                    tallies[vi][1] += v.rmsz_pass as usize;
-                    tallies[vi][2] += v.enmax_pass as usize;
-                    tallies[vi][3] += v.bias_pass as usize;
-                    tallies[vi][4] += v.all_pass() as usize;
-                }
-            });
-        }
-        for (vi, variant) in variants.iter().enumerate() {
+        let scored = self.sweep();
+        for variant in Variant::paper_set() {
+            let n = Evaluation::tally(scored.iter().map(|s| s.get(variant)));
             t.row(vec![
                 variant.name(),
-                tallies[vi][0].to_string(),
-                tallies[vi][1].to_string(),
-                tallies[vi][2].to_string(),
-                tallies[vi][3].to_string(),
-                tallies[vi][4].to_string(),
+                n.pearson.to_string(),
+                n.rmsz.to_string(),
+                n.enmax.to_string(),
+                n.bias.to_string(),
+                n.all.to_string(),
             ]);
         }
         self.emit("table6", &t.render(), Some(&t.to_csv()));
@@ -675,12 +675,7 @@ impl Runner {
     // Tables 7 & 8: hybrid customization results and composition.
     // ------------------------------------------------------------------
     fn table7_8(&mut self) {
-        let hybrids = {
-            let eval = self.eval();
-            let vars: Vec<usize> = (0..eval.model.registry().len()).collect();
-            progress!("    scoring the four hybrids and NC over {} variables ...", vars.len());
-            hybrid_methods(eval, &vars)
-        };
+        let hybrids = hybrid_methods(self.sweep());
 
         let mut t7 = Table::new(
             "Table 7: Customizing each method by variable (hybrid methods)",
@@ -715,23 +710,13 @@ impl Runner {
     // Figure 1: box plots of e_nmax and NRMSE over all 170 variables.
     // ------------------------------------------------------------------
     fn fig1(&mut self) {
-        let nvars = { self.eval().model.registry().len() };
         let variants = Variant::paper_set();
         let mut enmax_samples: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
         let mut nrmse_samples: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-        for var in 0..nvars {
-            let ctx = { self.eval().context(var) };
-            if var % 17 == 0 {
-                progress!("    fig1: variable {var}/{nvars} ({})", ctx.spec.name);
-            }
+        for scored in self.sweep() {
             for (vi, &variant) in variants.iter().enumerate() {
-                // Only the sample metrics are needed — skip the bias pass
-                // by scoring a single member directly.
-                let codec = variant.codec();
-                let orig = &ctx.fields[ctx.sample_idx[0]];
-                let bytes = codec.compress(orig, ctx.layout);
-                let recon = codec.decompress(&bytes, ctx.layout).expect("own stream");
-                if let Some(m) = cc_metrics::ErrorMetrics::compare(orig, &recon) {
+                // The first sampled member's metrics.
+                if let Some(Some(m)) = scored.get(variant).sample_metrics.first() {
                     enmax_samples[vi].push(m.e_nmax.max(1e-12));
                     nrmse_samples[vi].push(m.nrmse.max(1e-12));
                 }
@@ -781,34 +766,22 @@ impl Runner {
         let mut text = String::new();
         let mut csv = String::from("variable,method,rmsz_orig,rmsz_recon,pass\n");
         for name in FOCUS {
-            let (scores, markers, rows) = {
-                let ctx = self.focus_context(name);
-                let scores = ctx.rmsz_orig.scores().to_vec();
-                let mut markers = Vec::new();
-                let mut rows = Vec::new();
-                for variant in Variant::paper_set() {
-                    let v = verdict_for(ctx, variant);
-                    if let Some(&(zo, zr)) = v.sample_rmsz.first() {
-                        markers.push((variant.name(), zr));
-                        rows.push(format!(
-                            "{name},{},{zo},{zr},{}\n",
-                            variant.name(),
-                            v.rmsz_pass
-                        ));
-                    }
+            let (ctx, scored) = self.focus(name);
+            let mut markers = Vec::new();
+            for variant in Variant::paper_set() {
+                let v = scored.get(variant);
+                if let Some(&(zo, zr)) = v.sample_rmsz.first() {
+                    markers.push((variant.name(), zr));
+                    csv.push_str(&format!("{name},{},{zo},{zr},{}\n", variant.name(), v.rmsz_pass));
                 }
-                (scores, markers, rows)
-            };
+            }
             text.push_str(&render_histogram(
                 &format!("Figure 2: RMSZ-Ensemble test, variable {name}"),
-                &scores,
+                ctx.rmsz_orig.scores(),
                 &markers,
                 12,
             ));
             text.push('\n');
-            for r in rows {
-                csv.push_str(&r);
-            }
         }
         self.emit("fig2", &text, Some(&csv));
     }
@@ -820,30 +793,19 @@ impl Runner {
         let mut text = String::new();
         let mut csv = String::from("variable,method,e_nmax,dist_min,dist_max,pass\n");
         for name in FOCUS {
-            let (mut boxes, rows) = {
-                let ctx = self.focus_context(name);
-                let dist = BoxStats::from_samples(ctx.enmax_dist.scores());
-                let mut boxes = vec![("ensemble".to_string(), dist)];
-                let mut rows = Vec::new();
-                for variant in Variant::paper_set() {
-                    let v = verdict_for(ctx, variant);
-                    if let Some(&e) = v.sample_enmax.first() {
-                        // A marker renders as a degenerate box.
-                        boxes.push((
-                            variant.name(),
-                            BoxStats { min: e, q1: e, median: e, q3: e, max: e },
-                        ));
-                        rows.push(format!(
-                            "{name},{},{e},{},{},{}\n",
-                            variant.name(),
-                            ctx.enmax_dist.min(),
-                            ctx.enmax_dist.max(),
-                            v.enmax_pass
-                        ));
-                    }
+            let (ctx, scored) = self.focus(name);
+            let dist = &ctx.enmax_dist;
+            let mut boxes = vec![("ensemble".to_string(), BoxStats::from_samples(dist.scores()))];
+            for variant in Variant::paper_set() {
+                let v = scored.get(variant);
+                if let Some(e) = v.sample_metrics.iter().flatten().next().map(|m| m.e_nmax) {
+                    // A marker renders as a degenerate box.
+                    let marker = BoxStats { min: e, q1: e, median: e, q3: e, max: e };
+                    boxes.push((variant.name(), marker));
+                    let (lo, hi, pass) = (dist.min(), dist.max(), v.enmax_pass);
+                    csv.push_str(&format!("{name},{},{e},{lo},{hi},{pass}\n", variant.name()));
                 }
-                (boxes, rows)
-            };
+            }
             // Guard against zero markers leaving a single box.
             if boxes.len() == 1 {
                 boxes.push(("(none)".to_string(), boxes[0].1));
@@ -854,9 +816,6 @@ impl Runner {
                 true,
             ));
             text.push('\n');
-            for r in rows {
-                csv.push_str(&r);
-            }
         }
         self.emit("fig3", &text, Some(&csv));
     }
@@ -909,19 +868,13 @@ impl Runner {
             &["Variable", "RMSZ FP rate", "Enmax FP rate", "detect bias (sigma)"],
         );
         for name in FOCUS {
-            let row = {
-                let ctx = self.focus_context(name);
-                let c = cc_core::calibration::calibrate(ctx);
-                vec![
-                    name.to_string(),
-                    format!("{:.3}", c.rmsz_false_positive),
-                    format!("{:.3}", c.enmax_false_positive),
-                    c.rmsz_detection_sigma
-                        .map(|e| format!("{e}"))
-                        .unwrap_or_else(|| ">3.0".into()),
-                ]
-            };
-            t.row(row);
+            let c = cc_core::calibration::calibrate(self.focus(name).0);
+            t.row(vec![
+                name.to_string(),
+                format!("{:.3}", c.rmsz_false_positive),
+                format!("{:.3}", c.enmax_false_positive),
+                c.rmsz_detection_sigma.map(|e| format!("{e}")).unwrap_or_else(|| ">3.0".into()),
+            ]);
         }
         self.emit("calibration", &t.render(), Some(&t.to_csv()));
     }
@@ -937,21 +890,13 @@ impl Runner {
         let variants = Variant::paper_set();
         let mut rows: Vec<Vec<String>> = variants.iter().map(|v| vec![v.name()]).collect();
         for name in FOCUS {
-            let cells: Vec<String> = {
-                let ctx = self.focus_context(name);
-                variants
-                    .iter()
-                    .map(|&v| {
-                        cc_core::visual::ssim_report(ctx, v)
-                            .map(|r| {
-                                format!("{:.5}{}", r.mean, if r.pass { "" } else { "(*)" })
-                            })
-                            .unwrap_or_else(|| "-".into())
-                    })
-                    .collect()
-            };
-            for (row, cell) in rows.iter_mut().zip(cells) {
-                row.push(cell);
+            let (ctx, _) = self.focus(name);
+            for (row, &v) in rows.iter_mut().zip(&variants) {
+                row.push(
+                    cc_core::visual::ssim_report(ctx, v)
+                        .map(|r| format!("{:.5}{}", r.mean, if r.pass { "" } else { "(*)" }))
+                        .unwrap_or_else(|| "-".into()),
+                );
             }
         }
         for row in rows {
@@ -968,37 +913,29 @@ impl Runner {
         let mut csv =
             String::from("variable,method,slope,intercept,slope_lo,slope_hi,int_lo,int_hi,pass\n");
         for name in FOCUS {
-            let rows: Vec<String> = {
-                let ctx = self.focus_context(name);
-                let mut rows = Vec::new();
-                for variant in Variant::paper_set() {
-                    let v = verdict_for(ctx, variant);
-                    if let Some(reg) = v.bias {
-                        let (slo, shi, ilo, ihi) = reg.confidence_rect();
-                        rows.push(format!(
-                            "{:<10} slope {:7.4} [{:7.4},{:7.4}]  intercept {:+8.5} [{:+8.5},{:+8.5}]  contains(1,0)={} eq9-pass={}",
-                            variant.name(), reg.slope, slo, shi, reg.intercept, ilo, ihi,
-                            reg.contains_ideal(), v.bias_pass
-                        ));
-                        csv.push_str(&format!(
-                            "{name},{},{},{},{},{},{},{},{}\n",
-                            variant.name(),
-                            reg.slope,
-                            reg.intercept,
-                            slo,
-                            shi,
-                            ilo,
-                            ihi,
-                            v.bias_pass
-                        ));
-                    }
-                }
-                rows
-            };
+            let (_, scored) = self.focus(name);
             text.push_str(&format!("== Figure 4: bias regression, variable {name} ==\n"));
-            for r in rows {
-                text.push_str(&r);
-                text.push('\n');
+            for variant in Variant::paper_set() {
+                let v = scored.get(variant);
+                if let Some(reg) = v.bias {
+                    let (slo, shi, ilo, ihi) = reg.confidence_rect();
+                    text.push_str(&format!(
+                        "{:<10} slope {:7.4} [{:7.4},{:7.4}]  intercept {:+8.5} [{:+8.5},{:+8.5}]  contains(1,0)={} eq9-pass={}\n",
+                        variant.name(), reg.slope, slo, shi, reg.intercept, ilo, ihi,
+                        reg.contains_ideal(), v.bias_pass
+                    ));
+                    csv.push_str(&format!(
+                        "{name},{},{},{},{},{},{},{},{}\n",
+                        variant.name(),
+                        reg.slope,
+                        reg.intercept,
+                        slo,
+                        shi,
+                        ilo,
+                        ihi,
+                        v.bias_pass
+                    ));
+                }
             }
             text.push('\n');
         }
@@ -1010,23 +947,12 @@ impl Runner {
     /// `BENCH.json`.
     fn tune(&mut self, opts: &BenchOpts) {
         let preset = if opts.quick { "quick" } else { "default" };
-        let report = {
-            let eval = self.eval();
-            let vars: Vec<usize> = FOCUS
-                .iter()
-                .map(|name| {
-                    eval.model.var_id(name).unwrap_or_else(|| {
-                        eprintln!("unknown focus variable {name}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
-            progress!(
-                "    tuning {} variables over the (family x parameter) space ...",
-                vars.len()
-            );
-            cc_core::TuneReport::build(eval, &vars)
-        };
+        let vars = FOCUS.map(|name| var_id(&self.eval().model, name));
+        self.score(&vars);
+        progress!("    tuning {} variables over the (family x parameter) space ...", vars.len());
+        let variables =
+            vars.iter().map(|v| self.scored.get_mut(v).expect("scored above").tune()).collect();
+        let report = TuneReport { variables };
         let table = report.table();
         self.emit("tune", &table.render(), Some(&table.to_csv()));
         // The two tuner invariants the validator re-checks on disk.
@@ -1046,15 +972,7 @@ impl Runner {
         let preset = if opts.quick { "quick" } else { "default" };
         let artifact = {
             let eval = self.eval();
-            let vars: Vec<usize> = FOCUS
-                .iter()
-                .map(|name| {
-                    eval.model.var_id(name).unwrap_or_else(|| {
-                        eprintln!("unknown focus variable {name}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
+            let vars = FOCUS.map(|name| var_id(&eval.model, name));
             progress!(
                 "    measuring verification-engine throughput over {} variables ...",
                 vars.len()
@@ -1087,20 +1005,12 @@ impl Runner {
     /// produce byte-identical reports at worker counts 1 and 4.
     fn eval_check(&mut self) {
         let run = |workers: usize| -> String {
-            let model = cc_model::Model::new(self.cfg.resolution, self.cfg.seed);
+            let model = Model::new(self.cfg.resolution, self.cfg.seed);
             let mut config = EvalConfig::quick(self.cfg.members);
             config.workers = workers;
             let eval = Evaluation::new(model, config);
-            let vars: Vec<usize> = FOCUS
-                .iter()
-                .map(|name| {
-                    eval.model.var_id(name).unwrap_or_else(|| {
-                        eprintln!("unknown focus variable {name}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
-            let report = cc_core::TuneReport::build(&eval, &vars);
+            let vars = FOCUS.map(|name| var_id(&eval.model, name));
+            let report = TuneReport::build(&eval, &vars);
             format!("{}\n{:?}", report.table().render(), report.variables)
         };
         progress!("    re-running the tuning sweep at workers 1 and 4 ...");

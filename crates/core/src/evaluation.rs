@@ -179,8 +179,10 @@ pub struct VariableVerdict {
     pub bias: Option<BiasRegression>,
     /// Per-sample (original RMSZ, reconstructed RMSZ) pairs (Figure 2).
     pub sample_rmsz: Vec<(f64, f64)>,
-    /// Per-sample e_nmax values (Figure 3).
-    pub sample_enmax: Vec<f64>,
+    /// Each sampled member's metrics, index-aligned with the context's
+    /// `sample_idx` (`None` for a degenerate field or a failed decode);
+    /// Figures 1 and 3 read them.
+    pub sample_metrics: Vec<Option<ErrorMetrics>>,
 }
 
 impl VariableVerdict {
@@ -201,10 +203,10 @@ struct SampleOutcome {
     em: Option<ErrorMetrics>,
     /// `(zo, zr, passed)` of the RMSZ ensemble test.
     rmsz: Option<(f64, f64, bool)>,
-    /// `(e_nmax, passed)` of the E_nmax ensemble test.
-    enmax: Option<(f64, bool)>,
     /// Pearson ρ within threshold (vacuously true when degenerate).
     pearson_ok: bool,
+    /// E_nmax ensemble test passed (vacuously true when degenerate).
+    enmax_ok: bool,
     /// Reconstruction, retained for lossy candidates so the bias phase
     /// does not recompress the sampled members.
     recon: Option<Vec<f32>>,
@@ -232,8 +234,8 @@ fn score_sample(
                 decode_ok: false,
                 em: None,
                 rmsz: None,
-                enmax: None,
                 pearson_ok: false,
+                enmax_ok: false,
                 recon: None,
             };
         }
@@ -243,8 +245,8 @@ fn score_sample(
         decode_ok: true,
         em: None,
         rmsz: None,
-        enmax: None,
         pearson_ok: true,
+        enmax_ok: true,
         recon: None,
     };
     if let Some(em) = ErrorMetrics::compare(orig, &recon) {
@@ -261,7 +263,7 @@ fn score_sample(
         }
         {
             let _t = cc_obs::span("eval.test.enmax");
-            out.enmax = Some((em.e_nmax, enmax_test(&ctx.enmax_dist, em.e_nmax).passed()));
+            out.enmax_ok = enmax_test(&ctx.enmax_dist, em.e_nmax).passed();
         }
         out.em = Some(em);
     }
@@ -358,10 +360,10 @@ fn bias_for(
 /// so every verdict is bit-identical to the sequential reference at any
 /// worker count.
 pub fn verdicts_for(ctx: &VariableContext, variants: &[Variant]) -> Vec<VariableVerdict> {
-    let _s = cc_obs::span("eval.verdict");
     if variants.is_empty() {
         return Vec::new();
     }
+    let _s = cc_obs::span("eval.verdict");
     let nsamp = ctx.sample_idx.len();
 
     // --- Phase 1: per-sample metrics and tests (ρ, RMSZ, E_nmax, CR),
@@ -390,25 +392,19 @@ pub fn verdicts_for(ctx: &VariableContext, variants: &[Variant]) -> Vec<Variable
         let mut decode_ok = true;
         let mut cr_sum = 0.0;
         let mut sample_rmsz = Vec::new();
-        let mut sample_enmax = Vec::new();
-        let mut metric_acc: Vec<ErrorMetrics> = Vec::new();
+        let mut sample_metrics = Vec::with_capacity(nsamp);
         let mut sample_recons: Vec<(usize, Vec<f32>)> = Vec::new();
         // Fold in sample order — identical accumulation to a serial loop.
         for (si, o) in rest.by_ref().take(nsamp).enumerate() {
             cr_sum += o.nbytes as f64 / ctx.raw_bytes() as f64;
             decode_ok &= o.decode_ok;
             pearson_pass &= o.pearson_ok;
+            enmax_pass &= o.enmax_ok;
             if let Some((zo, zr, ok)) = o.rmsz {
                 sample_rmsz.push((zo, zr));
                 rmsz_pass &= ok;
             }
-            if let Some((e, ok)) = o.enmax {
-                sample_enmax.push(e);
-                enmax_pass &= ok;
-            }
-            if let Some(em) = o.em {
-                metric_acc.push(em);
-            }
+            sample_metrics.push(o.em);
             if let Some(r) = o.recon {
                 sample_recons.push((ctx.sample_idx[si], r));
             }
@@ -434,14 +430,14 @@ pub fn verdicts_for(ctx: &VariableContext, variants: &[Variant]) -> Vec<Variable
             name: ctx.spec.name.to_string(),
             variant,
             cr,
-            metrics: average_metrics(&metric_acc),
+            metrics: average_metrics(&sample_metrics),
             pearson_pass,
             rmsz_pass,
             enmax_pass,
             bias_pass,
             bias,
             sample_rmsz,
-            sample_enmax,
+            sample_metrics,
         });
     }
     verdicts
@@ -457,8 +453,10 @@ pub fn verdict_for(ctx: &VariableContext, variant: Variant) -> VariableVerdict {
 /// Conservative aggregate of per-sample metrics: mean-like quantities
 /// (`e_max`, `e_nmax`, `rmse`, `nrmse`) are averaged, while `psnr` and
 /// `pearson` take the worst case (minimum) over the samples — a variant
-/// is only as good as its worst sampled member.
-fn average_metrics(ms: &[ErrorMetrics]) -> Option<ErrorMetrics> {
+/// is only as good as its worst sampled member. Samples without metrics
+/// are skipped.
+fn average_metrics(samples: &[Option<ErrorMetrics>]) -> Option<ErrorMetrics> {
+    let ms: Vec<ErrorMetrics> = samples.iter().flatten().copied().collect();
     if ms.is_empty() {
         return None;
     }
@@ -507,17 +505,9 @@ impl Evaluation {
         cc_par::prefetch_map(vars, |&v| self.context(v), |ctx, _| f(&ctx))
     }
 
-    /// Evaluate one variant over every registry variable (Table 6 row).
-    /// Contexts are built one variable ahead of the verdict computation
-    /// and dropped immediately after scoring, so at most two variables'
-    /// ensembles are ever resident.
-    pub fn evaluate_all(&self, variant: Variant) -> Vec<VariableVerdict> {
-        let vars: Vec<usize> = (0..self.model.registry().len()).collect();
-        self.map_contexts(&vars, |ctx| verdict_for(ctx, variant))
-    }
-
     /// Tally a Table 6 row: passes per test plus the all-four count.
-    pub fn tally(verdicts: &[VariableVerdict]) -> TestTally {
+    pub fn tally<'a>(verdicts: impl IntoIterator<Item = &'a VariableVerdict>) -> TestTally {
+        let verdicts: Vec<&VariableVerdict> = verdicts.into_iter().collect();
         TestTally {
             pearson: verdicts.iter().filter(|v| v.pearson_pass).count(),
             rmsz: verdicts.iter().filter(|v| v.rmsz_pass).count(),

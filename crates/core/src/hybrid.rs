@@ -11,8 +11,8 @@
 //! the all-lossless "NC" column) and Table 8 (how many variables each
 //! variant serves).
 
-use crate::evaluation::{Evaluation, VariableVerdict};
-use crate::tuning::{ladder_pick, score};
+use crate::evaluation::VariableVerdict;
+use crate::tuning::{ladder_pick, ScoredVariable};
 use cc_codecs::{Family, Variant};
 use std::collections::BTreeMap;
 
@@ -78,23 +78,24 @@ impl HybridResult {
 }
 
 /// The four family hybrids of Tables 7–8, in [`Family::all`] order,
-/// then the all-NetCDF-4 "NC" column. One [`Evaluation::map_contexts`]
-/// pass scores each variable once against the union of the ladders; each
-/// column is the [`ladder_pick`] over its own ladder.
-pub fn hybrid_methods(eval: &Evaluation, vars: &[usize]) -> Vec<HybridResult> {
+/// then the all-NetCDF-4 "NC" column, over variables already scored
+/// against the [`report_set`](crate::tuning::report_set) (the union of
+/// these ladders). Each column is the [`ladder_pick`] over its own
+/// ladder.
+pub fn hybrid_methods<'a>(
+    scored: impl IntoIterator<Item = &'a ScoredVariable>,
+) -> Vec<HybridResult> {
     let columns: Vec<(Option<Family>, Vec<Variant>)> = Family::all()
         .into_iter()
         .map(|f| (Some(f), Variant::ladder(f)))
         .chain([(None, vec![Variant::NetCdf4])])
         .collect();
-    let union: Vec<Variant> = columns.iter().flat_map(|(_, l)| l.iter().copied()).collect();
-    let mut picks: Vec<Vec<VariableVerdict>> = vec![Vec::with_capacity(vars.len()); columns.len()];
-    eval.map_contexts(vars, |ctx| {
-        let scored = score(ctx, &union);
+    let mut picks: Vec<Vec<VariableVerdict>> = vec![Vec::new(); columns.len()];
+    for s in scored {
         for ((_, ladder), col) in columns.iter().zip(&mut picks) {
-            col.push(ladder_pick(&scored, ladder).clone());
+            col.push(ladder_pick(s.verdicts(), ladder).clone());
         }
-    });
+    }
     columns
         .into_iter()
         .zip(picks)
@@ -109,8 +110,8 @@ pub fn hybrid_methods(eval: &Evaluation, vars: &[usize]) -> Vec<HybridResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluation::{verdict_for, EvalConfig};
-    use crate::tuning::{min_cr, tune_variable};
+    use crate::evaluation::{verdict_for, EvalConfig, Evaluation};
+    use crate::tuning::{min_cr, score_vars, tune_variable};
     use cc_grid::Resolution;
     use cc_model::Model;
 
@@ -126,20 +127,22 @@ mod tests {
     /// 170-variable hybrids are exercised by the repro harness; tests
     /// keep runtime sane).
     fn column(eval: &Evaluation, family: Option<Family>, names: &[&str]) -> HybridResult {
-        hybrid_methods(eval, &ids(eval, names))
+        hybrid_methods(&score_vars(eval, &ids(eval, names), |_| false))
             .into_iter()
             .find(|h| h.family == family)
             .unwrap()
     }
 
     /// Reference for the shared selection loop: every pick equals a
-    /// rung-by-rung `verdict_for` walk that stops at the first pass, and
-    /// the tuner's hybrid baseline is `min_cr` over those walks.
+    /// rung-by-rung `verdict_for` walk that stops at the first pass, the
+    /// tuner's hybrid baseline is `min_cr` over those walks, and tuning
+    /// on top of the stored verdicts equals one fresh tuning sweep.
     #[test]
     fn ladder_picks_match_a_rung_by_rung_walk() {
         let eval = tiny_eval();
         let vars = ids(&eval, &["U", "FSDSC", "CLDTOT"]);
-        let hybrids = hybrid_methods(&eval, &vars);
+        let mut scored = score_vars(&eval, &vars, |_| true);
+        let hybrids = hybrid_methods(&scored);
         assert_eq!(hybrids.len(), 5);
         for (i, &var) in vars.iter().enumerate() {
             let ctx = eval.context(var);
@@ -163,6 +166,7 @@ mod tests {
             let nc = verdict_for(&ctx, Variant::NetCdf4);
             assert_eq!(format!("{:?}", hybrids[4].choices[i]), format!("{nc:?}"));
             let tuned = tune_variable(&ctx);
+            assert_eq!(format!("{:?}", scored[i].tune()), format!("{tuned:?}"));
             let best = min_cr(&walks).unwrap();
             assert_eq!(tuned.hybrid_variant, best.variant);
             assert_eq!(tuned.hybrid_cr.to_bits(), best.cr.to_bits());

@@ -21,6 +21,11 @@
 //!   candidate space is a superset of every ladder, the tuned choice can
 //!   never compress worse than that baseline.
 //!
+//! A `repro` run holds one such scoring per variable ([`score_vars`],
+//! [`ScoredVariable`]): the [`report_set`] that every table and figure
+//! reads, extended by [`ScoredVariable::tune`] with the rest of the
+//! candidate space.
+//!
 //! The search is deterministic: candidates are scored in a fixed order
 //! and ties keep the earlier candidate, so the resulting [`TuneReport`]
 //! renders byte-identically across runs and worker counts.
@@ -31,28 +36,34 @@ use cc_codecs::{grib2::Grib2, Family, Variant};
 use cc_metrics::FieldStats;
 use std::collections::BTreeSet;
 
+/// `candidates` deduped by display name, in first-seen order.
+fn distinct(candidates: &[Variant]) -> Vec<Variant> {
+    let mut seen = BTreeSet::new();
+    candidates.iter().copied().filter(|v| seen.insert(v.name())).collect()
+}
+
 /// Score each distinct candidate once: dedupe by display name in
 /// first-seen order, then make one batched [`verdicts_for`] call, which
 /// fans (candidate × sampled member) over the pool against this one
 /// context. Verdicts come back in that deduped order.
 pub fn score(ctx: &VariableContext, candidates: &[Variant]) -> Vec<VariableVerdict> {
-    let mut seen = BTreeSet::new();
-    let distinct: Vec<Variant> =
-        candidates.iter().copied().filter(|v| seen.insert(v.name())).collect();
-    verdicts_for(ctx, &distinct)
+    verdicts_for(ctx, &distinct(candidates))
+}
+
+/// The verdict for `variant` among `scored`, found by name.
+fn find<'a>(scored: &'a [VariableVerdict], variant: &Variant) -> &'a VariableVerdict {
+    let name = variant.name();
+    scored
+        .iter()
+        .find(|s| s.variant.name() == name)
+        .unwrap_or_else(|| panic!("{name} was not scored"))
 }
 
 /// The Section 5.4 rule: the first rung of `ladder` whose verdict passes
 /// all four tests, else the last rung (the ladder's lossless fallback).
 /// Every rung must be among the `scored` verdicts.
 pub fn ladder_pick<'a>(scored: &'a [VariableVerdict], ladder: &[Variant]) -> &'a VariableVerdict {
-    let rung = |v: &Variant| {
-        let name = v.name();
-        scored
-            .iter()
-            .find(|s| s.variant.name() == name)
-            .unwrap_or_else(|| panic!("ladder rung {name} was not scored"))
-    };
+    let rung = |v: &Variant| find(scored, v);
     let last = ladder.last().expect("a ladder is never empty");
     ladder.iter().map(rung).find(|s| s.all_pass()).unwrap_or_else(|| rung(last))
 }
@@ -142,13 +153,19 @@ pub fn candidate_space(ctx: &VariableContext) -> Vec<Variant> {
 /// Every family ladder rung is a candidate, so the hybrid baseline is
 /// picked from the same verdicts.
 pub fn tune_variable(ctx: &VariableContext) -> TunedVariable {
-    let scored = score(ctx, &candidate_space(ctx));
-    let verdict = min_cr(&scored)
+    pick(&score(ctx, &candidate_space(ctx)))
+}
+
+/// The tuner's two picks from verdicts in [`candidate_space`] order:
+/// [`min_cr`] over all of them, and the hand-picked hybrid baseline,
+/// [`min_cr`] over the four family [`ladder_pick`]s.
+fn pick(scored: &[VariableVerdict]) -> TunedVariable {
+    let verdict = min_cr(scored)
         .expect("candidate space includes NetCDF-4, which always passes")
         .clone();
     let picks: Vec<VariableVerdict> = Family::all()
         .into_iter()
-        .map(|f| ladder_pick(&scored, &Variant::ladder(f)).clone())
+        .map(|f| ladder_pick(scored, &Variant::ladder(f)).clone())
         .collect();
     let hybrid = min_cr(&picks).expect("every family ladder ends with a lossless fallback");
     TunedVariable {
@@ -160,6 +177,70 @@ pub fn tune_variable(ctx: &VariableContext) -> TunedVariable {
         hybrid_cr: hybrid.cr,
         verdict,
     }
+}
+
+/// The variants every `repro` report reads: each family ladder in
+/// [`Family::all`] order, then NetCDF-4 for the NC column. That is 11
+/// distinct variants, Table 6's nine ([`Variant::paper_set`]) among them.
+pub fn report_set() -> Vec<Variant> {
+    let ladders = Family::all().into_iter().flat_map(Variant::ladder);
+    distinct(&ladders.chain([Variant::NetCdf4]).collect::<Vec<_>>())
+}
+
+/// One variable's verdicts, each variant scored once and found by name:
+/// the [`report_set`], then whatever [`ScoredVariable::tune`] added.
+/// Every report of a `repro` run reads these, so no (variable, variant)
+/// pair is scored twice.
+pub struct ScoredVariable {
+    /// The variable's context, when [`score_vars`] was asked to keep it
+    /// for reports that read more than verdicts.
+    pub ctx: Option<VariableContext>,
+    /// Distinct by variant name, in scoring order.
+    verdicts: Vec<VariableVerdict>,
+}
+
+impl ScoredVariable {
+    /// The held verdicts, in scoring order.
+    pub fn verdicts(&self) -> &[VariableVerdict] {
+        &self.verdicts
+    }
+
+    /// The verdict for `variant`. Panics if it was never scored.
+    pub fn get(&self, variant: Variant) -> &VariableVerdict {
+        find(&self.verdicts, &variant)
+    }
+
+    /// [`tune_variable`] on the kept context, scoring only the
+    /// [`candidate_space`] rungs not held yet. The picks read the
+    /// verdicts in candidate order, so [`min_cr`] ties break as there.
+    pub fn tune(&mut self) -> TunedVariable {
+        let ctx = self.ctx.as_ref().expect("tuning reads the kept context");
+        let cands = distinct(&candidate_space(ctx));
+        let held = |c: &Variant| self.verdicts.iter().any(|v| v.variant.name() == c.name());
+        let missing: Vec<Variant> = cands.iter().copied().filter(|c| !held(c)).collect();
+        self.verdicts.extend(verdicts_for(ctx, &missing));
+        let scored: Vec<VariableVerdict> =
+            cands.iter().map(|v| find(&self.verdicts, v).clone()).collect();
+        pick(&scored)
+    }
+}
+
+/// Build each of `vars`' contexts once, one ahead as in
+/// [`Evaluation::map_contexts`], and score it against the
+/// [`report_set`]. A context stays in its [`ScoredVariable`] when `keep`
+/// selects the variable, and is dropped once scored otherwise.
+pub fn score_vars(
+    eval: &Evaluation,
+    vars: &[usize],
+    keep: impl Fn(usize) -> bool,
+) -> Vec<ScoredVariable> {
+    let set = report_set();
+    cc_par::prefetch_map(vars, |&v| eval.context(v), |ctx, i| {
+        if i % 17 == 0 {
+            cc_obs::progress!("    scoring variable {i}/{} ({})", vars.len(), ctx.spec.name);
+        }
+        ScoredVariable { verdicts: verdicts_for(&ctx, &set), ctx: keep(ctx.var).then_some(ctx) }
+    })
 }
 
 /// Per-variable tuning outcomes, renderable as a reproducible report.

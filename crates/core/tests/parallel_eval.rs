@@ -3,14 +3,13 @@
 //! The engine's correctness contract (ROADMAP item 5): verdicts, tune
 //! reports, and their rendered tables are byte-identical at workers
 //! {1, 2, 8}, and the batched/pipelined drivers (`verdicts_for`,
-//! `evaluate_all`, `TuneReport::build`) match a plain sequential
+//! `score_vars`, `TuneReport::build`) match a plain sequential
 //! reference exactly. Comparisons go through `Debug` formatting, which
 //! prints every `f64` exactly (17 significant digits round-trip), so any
 //! reordered accumulation shows up as a failure.
 
-use cc_codecs::Variant;
 use cc_core::evaluation::{verdict_for, verdicts_for, EvalConfig, Evaluation};
-use cc_core::tuning::{candidate_space, TuneReport};
+use cc_core::tuning::{candidate_space, report_set, score_vars, TuneReport};
 use cc_grid::Resolution;
 use cc_model::Model;
 
@@ -45,21 +44,23 @@ fn batched_candidate_sweep_matches_one_at_a_time_at_workers_1_2_8() {
 }
 
 #[test]
-fn pipelined_evaluate_all_matches_sequential_loop_at_workers_1_2_8() {
-    let variant = Variant::NetCdf4;
+fn pipelined_report_set_sweep_matches_sequential_loop_at_workers_1_2_8() {
     // Sequential reference: build each context in a plain loop, no
-    // prefetch, one verdict at a time.
+    // prefetch, and score it against the report set.
     let reference: Vec<String> = {
         let ev = eval_with_workers(1);
         (0..ev.model.registry().len())
-            .map(|v| format!("{:?}", verdict_for(&ev.context(v), variant)))
+            .map(|v| format!("{:?}", verdicts_for(&ev.context(v), &report_set())))
             .collect()
     };
     for workers in [1, 2, 8] {
         let ev = eval_with_workers(workers);
-        let got: Vec<String> =
-            ev.evaluate_all(variant).iter().map(|v| format!("{v:?}")).collect();
-        assert_eq!(got, reference, "evaluate_all diverged at workers={workers}");
+        let vars: Vec<usize> = (0..ev.model.registry().len()).collect();
+        let got: Vec<String> = score_vars(&ev, &vars, |_| false)
+            .iter()
+            .map(|s| format!("{:?}", s.verdicts()))
+            .collect();
+        assert_eq!(got, reference, "score_vars diverged at workers={workers}");
     }
 }
 

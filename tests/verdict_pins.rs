@@ -10,9 +10,10 @@
 
 use cc_bench::{RunConfig, FOCUS};
 use climate_compress::codecs::Variant;
-use climate_compress::core::evaluation::{verdicts_for, Evaluation, VariableVerdict};
+use climate_compress::core::evaluation::Evaluation;
+use climate_compress::core::hybrid_methods;
 use climate_compress::core::report::cr_fmt;
-use climate_compress::core::{hybrid_methods, TuneReport};
+use climate_compress::core::tuning::score_vars;
 use std::collections::BTreeMap;
 
 /// Table 6: passes of ρ, RMSZ ens., E_nmax ens., bias and all four, per
@@ -72,27 +73,25 @@ impl Moved {
     }
 }
 
+/// One scoring of every variable, as `repro` renders from it.
 #[test]
 fn quick_preset_tables_and_tune_picks_are_pinned() {
     let eval = RunConfig::quick().evaluation();
     let vars: Vec<usize> = (0..eval.model.registry().len()).collect();
-    let focus: Vec<usize> =
-        FOCUS.iter().map(|n| eval.model.var_id(n).expect("focus variable")).collect();
+    let focus = FOCUS.map(|n| eval.model.var_id(n).expect("focus variable"));
+    let mut scored = score_vars(&eval, &vars, |v| focus.contains(&v));
     let mut moved = Moved::default();
 
-    let paper = Variant::paper_set();
-    let per_var = eval.map_contexts(&vars, |ctx| verdicts_for(ctx, &paper));
-    for (vi, (name, pinned)) in TABLE6.iter().enumerate() {
-        assert_eq!(paper[vi].name(), *name, "Table 6 row order");
-        let column: Vec<VariableVerdict> = per_var.iter().map(|v| v[vi].clone()).collect();
-        let t = Evaluation::tally(&column);
+    for (variant, (name, pinned)) in Variant::paper_set().into_iter().zip(TABLE6) {
+        assert_eq!(variant.name(), name, "Table 6 row order");
+        let t = Evaluation::tally(scored.iter().map(|s| s.get(variant)));
         let got = [t.pearson, t.rmsz, t.enmax, t.bias, t.all];
         for ((test, g), p) in TABLE6_TESTS.iter().zip(got).zip(pinned) {
             moved.check(format!("Table 6 {name} {test}"), g, p);
         }
     }
 
-    let hybrids = hybrid_methods(&eval, &vars);
+    let hybrids = hybrid_methods(&scored);
     for (h, (label, pinned)) in hybrids.iter().zip(TABLE7_AVG_CR) {
         assert_eq!(h.label, label, "Table 7 column order");
         moved.check(format!("Table 7 {label} avg. CR"), cr_fmt(h.cr_stats().0), pinned);
@@ -109,8 +108,8 @@ fn quick_preset_tables_and_tune_picks_are_pinned() {
         moved.check(format!("Table 8 {label} {variant}"), got, 0);
     }
 
-    let report = TuneReport::build(&eval, &focus);
-    for (v, (name, pinned)) in report.variables.iter().zip(TUNE) {
+    for (&var, (name, pinned)) in focus.iter().zip(TUNE) {
+        let v = scored[var].tune();
         assert_eq!(v.name, name, "tune row order");
         let got = [
             v.chosen.name(),
