@@ -591,7 +591,7 @@ impl Runner {
             for (row, &variant) in rows.iter_mut().zip(&variants) {
                 let verdict = scored.get(variant);
                 let val =
-                    verdict.metrics.map(|m| if nrmse { m.nrmse } else { m.e_nmax }).unwrap_or(0.0);
+                    verdict.metrics().map_or(0.0, |m| if nrmse { m.nrmse } else { m.e_nmax });
                 row.push(format!("{} ({})", sci(val), cr_fmt(verdict.cr)));
             }
         }
@@ -716,7 +716,7 @@ impl Runner {
         for scored in self.sweep() {
             for (vi, &variant) in variants.iter().enumerate() {
                 // The first sampled member's metrics.
-                if let Some(Some(m)) = scored.get(variant).sample_metrics.first() {
+                if let Some(m) = scored.get(variant).members.first().and_then(|m| m.metrics) {
                     enmax_samples[vi].push(m.e_nmax.max(1e-12));
                     nrmse_samples[vi].push(m.nrmse.max(1e-12));
                 }
@@ -770,9 +770,10 @@ impl Runner {
             let mut markers = Vec::new();
             for variant in Variant::paper_set() {
                 let v = scored.get(variant);
-                if let Some(&(zo, zr)) = v.sample_rmsz.first() {
+                if let Some(o) = v.members.iter().find_map(|m| m.rmsz) {
+                    let (zo, zr, pass) = (o.rmsz_orig, o.rmsz_recon, v.rmsz_pass());
                     markers.push((variant.name(), zr));
-                    csv.push_str(&format!("{name},{},{zo},{zr},{}\n", variant.name(), v.rmsz_pass));
+                    csv.push_str(&format!("{name},{},{zo},{zr},{pass}\n", variant.name()));
                 }
             }
             text.push_str(&render_histogram(
@@ -798,11 +799,11 @@ impl Runner {
             let mut boxes = vec![("ensemble".to_string(), BoxStats::from_samples(dist.scores()))];
             for variant in Variant::paper_set() {
                 let v = scored.get(variant);
-                if let Some(e) = v.sample_metrics.iter().flatten().next().map(|m| m.e_nmax) {
+                if let Some(e) = v.members.iter().find_map(|m| m.enmax).map(|o| o.e_nmax) {
                     // A marker renders as a degenerate box.
                     let marker = BoxStats { min: e, q1: e, median: e, q3: e, max: e };
                     boxes.push((variant.name(), marker));
-                    let (lo, hi, pass) = (dist.min(), dist.max(), v.enmax_pass);
+                    let (lo, hi, pass) = (dist.min(), dist.max(), v.enmax_pass());
                     csv.push_str(&format!("{name},{},{e},{lo},{hi},{pass}\n", variant.name()));
                 }
             }
@@ -922,7 +923,7 @@ impl Runner {
                     text.push_str(&format!(
                         "{:<10} slope {:7.4} [{:7.4},{:7.4}]  intercept {:+8.5} [{:+8.5},{:+8.5}]  contains(1,0)={} eq9-pass={}\n",
                         variant.name(), reg.slope, slo, shi, reg.intercept, ilo, ihi,
-                        reg.contains_ideal(), v.bias_pass
+                        reg.contains_ideal(), v.bias_pass()
                     ));
                     csv.push_str(&format!(
                         "{name},{},{},{},{},{},{},{},{}\n",
@@ -933,7 +934,7 @@ impl Runner {
                         shi,
                         ilo,
                         ihi,
-                        v.bias_pass
+                        v.bias_pass()
                     ));
                 }
             }

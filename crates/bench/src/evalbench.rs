@@ -122,7 +122,7 @@ pub fn run(eval: &Evaluation, vars: &[usize], preset: &str) -> EvalArtifact {
     let variables = tuned
         .iter()
         .zip(&walls)
-        .map(|(t, &w)| EvalVariable { name: t.name.clone(), tune_wall_s: w.max(1e-9) })
+        .map(|(t, &w)| EvalVariable { name: t.verdict.name.clone(), tune_wall_s: w.max(1e-9) })
         .collect();
     EvalArtifact {
         preset: preset.to_string(),

@@ -45,12 +45,12 @@ impl TuneArtifact {
                     "{{\"name\": \"{}\", \"chosen\": \"{}\", \"cr\": {:.6}, \"passes\": {}, \
                      \"hybrid\": \"{}\", \"hybrid_cr\": {:.6}, \"candidates\": {}, \
                      \"passing\": {}}}",
-                    json::escape(&v.name),
-                    json::escape(&v.chosen.name()),
+                    json::escape(&v.verdict.name),
+                    json::escape(&v.verdict.variant.name()),
                     v.verdict.cr,
                     v.verdict.all_pass(),
-                    json::escape(&v.hybrid_variant.name()),
-                    v.hybrid_cr,
+                    json::escape(&v.hybrid.variant.name()),
+                    v.hybrid.cr,
                     v.candidates,
                     v.passing
                 )

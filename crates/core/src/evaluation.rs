@@ -20,7 +20,10 @@ use cc_codecs::{Layout, Variant};
 use cc_metrics::{ErrorMetrics, PEARSON_THRESHOLD};
 use cc_model::{Model, VariableSpec};
 use cc_par::par_map_with;
-use cc_pvt::{enmax_test, rmsz_test, BiasRegression, EnsembleStats, ScoreDistribution};
+use cc_pvt::{
+    enmax_test, rmsz_test, BiasRegression, EnmaxOutcome, EnsembleStats, RmszOutcome,
+    ScoreDistribution,
+};
 
 /// Evaluation configuration.
 #[derive(Debug, Clone)]
@@ -148,8 +151,37 @@ impl VariableContext {
     }
 }
 
-/// The four test outcomes (and supporting measurements) for one variable
-/// under one codec variant.
+/// One sampled member's outcome under one codec variant: what the codec
+/// produced and what each per-member test measured.
+#[derive(Debug, Clone)]
+pub struct MemberOutcome {
+    /// Member index into the context's fields.
+    pub member: usize,
+    /// Compressed size in bytes (counted towards CR even when the decode
+    /// fails).
+    pub nbytes: usize,
+    /// False when the codec failed to decode its own stream.
+    pub decoded: bool,
+    /// Error metrics (`None` for a degenerate field or a failed decode).
+    pub metrics: Option<ErrorMetrics>,
+    /// The RMSZ ensemble test (`None` without metrics).
+    pub rmsz: Option<RmszOutcome>,
+    /// The E_nmax ensemble test (`None` without metrics).
+    pub enmax: Option<EnmaxOutcome>,
+}
+
+impl MemberOutcome {
+    /// One per-member test on this member: a member that failed to decode
+    /// fails it, and a decoded member without `outcome` (a degenerate
+    /// field has no metrics) passes it vacuously.
+    fn passes<T>(&self, outcome: Option<T>, pass: impl FnOnce(T) -> bool) -> bool {
+        self.decoded && outcome.is_none_or(pass)
+    }
+}
+
+/// One variable's verdict under one codec variant: each sampled member's
+/// outcome plus the bias test over the full reconstructed ensemble. Every
+/// report reads the four tests and the aggregate metrics from it.
 #[derive(Debug, Clone)]
 pub struct VariableVerdict {
     /// Registry index.
@@ -160,119 +192,111 @@ pub struct VariableVerdict {
     pub variant: Variant,
     /// Compression ratio (compressed / original), averaged over samples.
     pub cr: f64,
-    /// Aggregate error metrics over the sampled members (`None` for a
-    /// degenerate/constant field). This is a *conservative* aggregate,
-    /// not a plain mean: `e_max`, `e_nmax`, `rmse`, and `nrmse` are
-    /// averaged, but `psnr` and `pearson` are the worst case (minimum)
-    /// over the samples, so the verdict never reports better fidelity
-    /// than its worst sampled member.
-    pub metrics: Option<ErrorMetrics>,
-    /// Test 1: Pearson ρ ≥ 0.99999 on every sampled member.
-    pub pearson_pass: bool,
-    /// Test 2: RMSZ ensemble test on every sampled member.
-    pub rmsz_pass: bool,
-    /// Test 3: E_nmax ensemble test on every sampled member.
-    pub enmax_pass: bool,
-    /// Test 4: bias regression over the full reconstructed ensemble.
-    pub bias_pass: bool,
+    /// Each sampled member's outcome, in the context's `sample_idx` order.
+    pub members: Vec<MemberOutcome>,
     /// The fitted bias regression (for Figure 4).
     pub bias: Option<BiasRegression>,
-    /// Per-sample (original RMSZ, reconstructed RMSZ) pairs (Figure 2).
-    pub sample_rmsz: Vec<(f64, f64)>,
-    /// Each sampled member's metrics, index-aligned with the context's
-    /// `sample_idx` (`None` for a degenerate field or a failed decode);
-    /// Figures 1 and 3 read them.
-    pub sample_metrics: Vec<Option<ErrorMetrics>>,
+    /// Test 4's outcome. Stored, because a member outside the sample that
+    /// fails to decode in the bias phase fails this test alone.
+    bias_pass: bool,
 }
 
 impl VariableVerdict {
+    /// Test 1: Pearson ρ ≥ 0.99999 on every sampled member (an exact
+    /// reconstruction passes whatever its ρ).
+    pub fn pearson_pass(&self) -> bool {
+        self.members.iter().all(|m| {
+            m.passes(m.metrics, |e| e.pearson >= PEARSON_THRESHOLD || e.pearson.is_nan() || e.is_exact())
+        })
+    }
+
+    /// Test 2: RMSZ ensemble test on every sampled member.
+    pub fn rmsz_pass(&self) -> bool {
+        self.members.iter().all(|m| m.passes(m.rmsz, |o| o.passed()))
+    }
+
+    /// Test 3: E_nmax ensemble test on every sampled member.
+    pub fn enmax_pass(&self) -> bool {
+        self.members.iter().all(|m| m.passes(m.enmax, |o| o.passed()))
+    }
+
+    /// Test 4: bias regression over the full reconstructed ensemble.
+    pub fn bias_pass(&self) -> bool {
+        self.bias_pass
+    }
+
     /// Pass on all four tests (the "all" column of Table 6).
     pub fn all_pass(&self) -> bool {
-        self.pearson_pass && self.rmsz_pass && self.enmax_pass && self.bias_pass
+        self.pearson_pass() && self.rmsz_pass() && self.enmax_pass() && self.bias_pass()
+    }
+
+    /// Aggregate error metrics over the sampled members (`None` when no
+    /// member has any). This is a *conservative* aggregate, not a plain
+    /// mean: `e_max`, `e_nmax`, `rmse`, and `nrmse` are averaged, but
+    /// `psnr` and `pearson` are the worst case (minimum) over the samples,
+    /// so the verdict never reports better fidelity than its worst sampled
+    /// member.
+    pub fn metrics(&self) -> Option<ErrorMetrics> {
+        let ms: Vec<ErrorMetrics> = self.members.iter().filter_map(|m| m.metrics).collect();
+        if ms.is_empty() {
+            return None;
+        }
+        let n = ms.len() as f64;
+        Some(ErrorMetrics {
+            e_max: ms.iter().map(|m| m.e_max).sum::<f64>() / n,
+            e_nmax: ms.iter().map(|m| m.e_nmax).sum::<f64>() / n,
+            rmse: ms.iter().map(|m| m.rmse).sum::<f64>() / n,
+            nrmse: ms.iter().map(|m| m.nrmse).sum::<f64>() / n,
+            psnr: ms.iter().map(|m| m.psnr).fold(f64::INFINITY, f64::min),
+            pearson: ms.iter().map(|m| m.pearson).fold(f64::INFINITY, f64::min),
+            count: ms[0].count,
+        })
     }
 }
 
-/// One sampled member's measurements for one candidate, produced on the
-/// pool by [`verdicts_for`] phase 1.
-struct SampleOutcome {
-    /// Compressed size (counted towards CR even when the decode fails).
-    nbytes: usize,
-    /// False when the codec failed to decode its own stream.
-    decode_ok: bool,
-    /// Metrics (`None` for a degenerate/incomparable field).
-    em: Option<ErrorMetrics>,
-    /// `(zo, zr, passed)` of the RMSZ ensemble test.
-    rmsz: Option<(f64, f64, bool)>,
-    /// Pearson ρ within threshold (vacuously true when degenerate).
-    pearson_ok: bool,
-    /// E_nmax ensemble test passed (vacuously true when degenerate).
-    enmax_ok: bool,
-    /// Reconstruction, retained for lossy candidates so the bias phase
-    /// does not recompress the sampled members.
-    recon: Option<Vec<f32>>,
-}
-
 /// Compress/decompress one sampled member and run the per-member tests.
+/// The reconstruction comes back too when `keep_recon` asks for it (lossy
+/// candidates), so the bias phase does not recompress the sampled members.
 fn score_sample(
     ctx: &VariableContext,
     codec: &dyn cc_codecs::Codec,
     m: usize,
     keep_recon: bool,
-) -> SampleOutcome {
+) -> (MemberOutcome, Option<Vec<f32>>) {
     let _sample = cc_obs::span("eval.sample");
     let orig = &ctx.fields[m];
     let bytes = compress_chunked(codec, orig, ctx.layout, ctx.workers);
-    let nbytes = bytes.len();
-    let recon = match decompress_chunked(codec, &bytes, ctx.layout, ctx.workers) {
-        Ok(r) => r,
-        Err(_) => {
-            // A codec that cannot decode its own stream is a codec bug;
-            // surface it as a failed verdict, not a worker panic.
-            cc_obs::counter_inc("eval.self_decode_fail");
-            return SampleOutcome {
-                nbytes,
-                decode_ok: false,
-                em: None,
-                rmsz: None,
-                pearson_ok: false,
-                enmax_ok: false,
-                recon: None,
-            };
-        }
-    };
-    let mut out = SampleOutcome {
-        nbytes,
-        decode_ok: true,
-        em: None,
+    let mut out = MemberOutcome {
+        member: m,
+        nbytes: bytes.len(),
+        decoded: false,
+        metrics: None,
         rmsz: None,
-        pearson_ok: true,
-        enmax_ok: true,
-        recon: None,
+        enmax: None,
     };
+    let Ok(recon) = decompress_chunked(codec, &bytes, ctx.layout, ctx.workers) else {
+        // A codec that cannot decode its own stream is a codec bug;
+        // surface it as a failed verdict, not a worker panic.
+        cc_obs::counter_inc("eval.self_decode_fail");
+        return (out, None);
+    };
+    out.decoded = true;
     if let Some(em) = ErrorMetrics::compare(orig, &recon) {
-        if em.pearson < PEARSON_THRESHOLD && !em.is_exact() {
-            out.pearson_ok = false;
-        }
         {
             let _t = cc_obs::span("eval.test.rmsz");
             // The member's original score was computed identically at
             // context build time; reuse it instead of re-deriving.
             let zo = ctx.rmsz_orig.scores()[m];
             let zr = ctx.stats.rmsz_excluding(orig, &recon).unwrap_or(zo);
-            out.rmsz = Some((zo, zr, rmsz_test(&ctx.rmsz_orig, zo, zr).passed()));
+            out.rmsz = Some(rmsz_test(&ctx.rmsz_orig, zo, zr));
         }
         {
             let _t = cc_obs::span("eval.test.enmax");
-            out.enmax_ok = enmax_test(&ctx.enmax_dist, em.e_nmax).passed();
+            out.enmax = Some(enmax_test(&ctx.enmax_dist, em.e_nmax));
         }
-        out.em = Some(em);
+        out.metrics = Some(em);
     }
-    // Degenerate fields (no comparable points / zero range) have
-    // nothing to distinguish: tests vacuously pass.
-    if keep_recon {
-        out.recon = Some(recon);
-    }
-    out
+    (out, keep_recon.then_some(recon))
 }
 
 /// How one member's reconstruction reached the bias phase.
@@ -384,63 +408,37 @@ pub fn verdicts_for(ctx: &VariableContext, variants: &[Variant]) -> Vec<Variable
         - x.iter().cloned().fold(f64::INFINITY, f64::min);
 
     let mut rest = outcomes.into_iter();
-    let mut verdicts = Vec::with_capacity(variants.len());
-    for &variant in variants {
-        let mut pearson_pass = true;
-        let mut rmsz_pass = true;
-        let mut enmax_pass = true;
-        let mut decode_ok = true;
-        let mut cr_sum = 0.0;
-        let mut sample_rmsz = Vec::new();
-        let mut sample_metrics = Vec::with_capacity(nsamp);
-        let mut sample_recons: Vec<(usize, Vec<f32>)> = Vec::new();
-        // Fold in sample order — identical accumulation to a serial loop.
-        for (si, o) in rest.by_ref().take(nsamp).enumerate() {
-            cr_sum += o.nbytes as f64 / ctx.raw_bytes() as f64;
-            decode_ok &= o.decode_ok;
-            pearson_pass &= o.pearson_ok;
-            enmax_pass &= o.enmax_ok;
-            if let Some((zo, zr, ok)) = o.rmsz {
-                sample_rmsz.push((zo, zr));
-                rmsz_pass &= ok;
-            }
-            sample_metrics.push(o.em);
-            if let Some(r) = o.recon {
-                sample_recons.push((ctx.sample_idx[si], r));
-            }
-        }
-        let cr = cr_sum / ctx.sample_idx.len().max(1) as f64;
+    let raw = ctx.raw_bytes() as f64;
+    variants
+        .iter()
+        .map(|&variant| {
+            let (members, recons): (Vec<MemberOutcome>, Vec<Option<Vec<f32>>>) =
+                rest.by_ref().take(nsamp).unzip();
+            // Summed in sample order: the same f64 as a serial loop.
+            let cr = members.iter().map(|m| m.nbytes as f64 / raw).sum::<f64>()
+                / nsamp.max(1) as f64;
 
-        // --- Phase 2: bias test over the full reconstructed ensemble. --
-        let (bias, bias_pass) = if !decode_ok {
-            (None, false)
-        } else if variant.is_lossless() {
-            // Bit-exact reconstruction: slope exactly 1, trivially unbiased.
-            (None, true)
-        } else {
-            bias_for(ctx, variant, sample_recons, &x, spread)
-        };
-        if !decode_ok {
-            rmsz_pass = false;
-            enmax_pass = false;
-        }
-
-        verdicts.push(VariableVerdict {
-            var: ctx.var,
-            name: ctx.spec.name.to_string(),
-            variant,
-            cr,
-            metrics: average_metrics(&sample_metrics),
-            pearson_pass,
-            rmsz_pass,
-            enmax_pass,
-            bias_pass,
-            bias,
-            sample_rmsz,
-            sample_metrics,
-        });
-    }
-    verdicts
+            // --- Phase 2: bias test over the full reconstructed ensemble.
+            let (bias, bias_pass) = if members.iter().any(|m| !m.decoded) {
+                (None, false)
+            } else if variant.is_lossless() {
+                // Bit-exact reconstruction: slope exactly 1, trivially unbiased.
+                (None, true)
+            } else {
+                let recons = members.iter().zip(recons).filter_map(|(m, r)| Some((m.member, r?)));
+                bias_for(ctx, variant, recons.collect(), &x, spread)
+            };
+            VariableVerdict {
+                var: ctx.var,
+                name: ctx.spec.name.to_string(),
+                variant,
+                cr,
+                members,
+                bias,
+                bias_pass,
+            }
+        })
+        .collect()
 }
 
 /// Score one variant against a prepared variable context.
@@ -448,28 +446,6 @@ pub fn verdict_for(ctx: &VariableContext, variant: Variant) -> VariableVerdict {
     verdicts_for(ctx, std::slice::from_ref(&variant))
         .pop()
         .expect("one variant in, one verdict out")
-}
-
-/// Conservative aggregate of per-sample metrics: mean-like quantities
-/// (`e_max`, `e_nmax`, `rmse`, `nrmse`) are averaged, while `psnr` and
-/// `pearson` take the worst case (minimum) over the samples — a variant
-/// is only as good as its worst sampled member. Samples without metrics
-/// are skipped.
-fn average_metrics(samples: &[Option<ErrorMetrics>]) -> Option<ErrorMetrics> {
-    let ms: Vec<ErrorMetrics> = samples.iter().flatten().copied().collect();
-    if ms.is_empty() {
-        return None;
-    }
-    let n = ms.len() as f64;
-    Some(ErrorMetrics {
-        e_max: ms.iter().map(|m| m.e_max).sum::<f64>() / n,
-        e_nmax: ms.iter().map(|m| m.e_nmax).sum::<f64>() / n,
-        rmse: ms.iter().map(|m| m.rmse).sum::<f64>() / n,
-        nrmse: ms.iter().map(|m| m.nrmse).sum::<f64>() / n,
-        psnr: ms.iter().map(|m| m.psnr).fold(f64::INFINITY, f64::min),
-        pearson: ms.iter().map(|m| m.pearson).fold(f64::INFINITY, f64::min),
-        count: ms[0].count,
-    })
 }
 
 /// The full evaluation driver: a model plus a config.
@@ -509,10 +485,10 @@ impl Evaluation {
     pub fn tally<'a>(verdicts: impl IntoIterator<Item = &'a VariableVerdict>) -> TestTally {
         let verdicts: Vec<&VariableVerdict> = verdicts.into_iter().collect();
         TestTally {
-            pearson: verdicts.iter().filter(|v| v.pearson_pass).count(),
-            rmsz: verdicts.iter().filter(|v| v.rmsz_pass).count(),
-            enmax: verdicts.iter().filter(|v| v.enmax_pass).count(),
-            bias: verdicts.iter().filter(|v| v.bias_pass).count(),
+            pearson: verdicts.iter().filter(|v| v.pearson_pass()).count(),
+            rmsz: verdicts.iter().filter(|v| v.rmsz_pass()).count(),
+            enmax: verdicts.iter().filter(|v| v.enmax_pass()).count(),
+            bias: verdicts.iter().filter(|v| v.bias_pass()).count(),
             all: verdicts.iter().filter(|v| v.all_pass()).count(),
             total: verdicts.len(),
         }
@@ -568,7 +544,7 @@ mod tests {
         let ctx = ev.context(u);
         let v = verdict_for(&ctx, Variant::NetCdf4);
         assert!(v.all_pass(), "{v:?}");
-        assert!(v.metrics.unwrap().is_exact());
+        assert!(v.metrics().unwrap().is_exact());
     }
 
     #[test]
@@ -577,8 +553,8 @@ mod tests {
         let u = ev.model.var_id("U").unwrap();
         let ctx = ev.context(u);
         let v = verdict_for(&ctx, Variant::Apax { rate: 2.0 });
-        assert!(v.pearson_pass, "APAX-2 on U: rho failed");
-        assert!(v.rmsz_pass, "APAX-2 on U: rmsz failed");
+        assert!(v.pearson_pass(), "APAX-2 on U: rho failed");
+        assert!(v.rmsz_pass(), "APAX-2 on U: rmsz failed");
         assert!(v.cr < 0.55 && v.cr > 0.45, "fixed rate 2 ⇒ CR ≈ 0.5: {}", v.cr);
     }
 

@@ -39,8 +39,8 @@ pub mod tuning;
 pub mod visual;
 
 pub use evaluation::{
-    verdict_for, verdicts_for, EvalConfig, Evaluation, TestTally, VariableContext,
-    VariableVerdict,
+    verdict_for, verdicts_for, EvalConfig, Evaluation, MemberOutcome, TestTally,
+    VariableContext, VariableVerdict,
 };
 pub use hybrid::{hybrid_methods, HybridResult};
 pub use tuning::{candidate_space, tune_variable, TuneReport, TunedVariable};

@@ -71,9 +71,11 @@ pub fn ladder_pick<'a>(scored: &'a [VariableVerdict], ladder: &[Variant]) -> &'a
 /// The tuner rule: the verdict that passes all four tests with the
 /// smallest CR; ties keep the earlier candidate. `None` when nothing
 /// passes.
-pub fn min_cr(scored: &[VariableVerdict]) -> Option<&VariableVerdict> {
+pub fn min_cr<'a>(
+    scored: impl IntoIterator<Item = &'a VariableVerdict>,
+) -> Option<&'a VariableVerdict> {
     let mut best: Option<&VariableVerdict> = None;
-    for v in scored.iter().filter(|v| v.all_pass()) {
+    for v in scored.into_iter().filter(|v| v.all_pass()) {
         if best.is_none_or(|b| v.cr < b.cr) {
             best = Some(v);
         }
@@ -113,21 +115,15 @@ pub fn auto_d_window(ctx: &VariableContext) -> Vec<Variant> {
 /// the hand-picked Section-5.4 hybrid it is measured against.
 #[derive(Debug, Clone)]
 pub struct TunedVariable {
-    /// Variable name.
-    pub name: String,
-    /// The passing candidate with the best CR.
-    pub chosen: Variant,
-    /// The verdict that justified the choice (always `all_pass`).
+    /// The verdict of the passing candidate with the best CR.
     pub verdict: VariableVerdict,
+    /// The verdict of the best hand-picked hybrid choice: [`min_cr`] over
+    /// the four family [`ladder_pick`]s.
+    pub hybrid: VariableVerdict,
     /// Distinct candidates evaluated.
     pub candidates: usize,
     /// How many candidates passed all four tests.
     pub passing: usize,
-    /// The best hand-picked hybrid choice: [`min_cr`] over the four
-    /// family [`ladder_pick`]s.
-    pub hybrid_variant: Variant,
-    /// CR of the hand-picked hybrid choice.
-    pub hybrid_cr: f64,
 }
 
 /// The candidate configurations the generalized search enumerates for a
@@ -160,22 +156,14 @@ pub fn tune_variable(ctx: &VariableContext) -> TunedVariable {
 /// [`min_cr`] over all of them, and the hand-picked hybrid baseline,
 /// [`min_cr`] over the four family [`ladder_pick`]s.
 fn pick(scored: &[VariableVerdict]) -> TunedVariable {
-    let verdict = min_cr(scored)
-        .expect("candidate space includes NetCDF-4, which always passes")
-        .clone();
-    let picks: Vec<VariableVerdict> = Family::all()
-        .into_iter()
-        .map(|f| ladder_pick(scored, &Variant::ladder(f)).clone())
-        .collect();
-    let hybrid = min_cr(&picks).expect("every family ladder ends with a lossless fallback");
+    let verdict = min_cr(scored).expect("candidate space includes NetCDF-4, which always passes");
+    let picks = Family::all().into_iter().map(|f| ladder_pick(scored, &Variant::ladder(f)));
+    let hybrid = min_cr(picks).expect("every family ladder ends with a lossless fallback");
     TunedVariable {
-        name: verdict.name.clone(),
-        chosen: verdict.variant,
+        verdict: verdict.clone(),
+        hybrid: hybrid.clone(),
         candidates: scored.len(),
         passing: scored.iter().filter(|v| v.all_pass()).count(),
-        hybrid_variant: hybrid.variant,
-        hybrid_cr: hybrid.cr,
-        verdict,
     }
 }
 
@@ -270,7 +258,7 @@ impl TuneReport {
     pub fn never_worse_than_hybrid(&self) -> bool {
         self.variables
             .iter()
-            .all(|v| v.verdict.cr <= v.hybrid_cr + 1e-12)
+            .all(|v| v.verdict.cr <= v.hybrid.cr + 1e-12)
     }
 
     /// Aligned per-variable table (deterministic: no timestamps, fixed
@@ -282,11 +270,11 @@ impl TuneReport {
         );
         for v in &self.variables {
             t.row(vec![
-                v.name.clone(),
-                v.chosen.name(),
+                v.verdict.name.clone(),
+                v.verdict.variant.name(),
                 cr_fmt(v.verdict.cr),
-                v.hybrid_variant.name(),
-                cr_fmt(v.hybrid_cr),
+                v.hybrid.variant.name(),
+                cr_fmt(v.hybrid.cr),
                 v.candidates.to_string(),
                 v.passing.to_string(),
             ]);
@@ -497,8 +485,8 @@ mod tests {
         let window = auto_d_window(&ctx);
         let pick = ladder_pick(&score(&ctx, &window), &window).clone();
         if pick.all_pass() {
-            for &(zo, zr) in &pick.sample_rmsz {
-                assert!((zo - zr).abs() <= cc_pvt::RMSZ_DIFF_MAX + 1e-12);
+            for o in pick.members.iter().filter_map(|m| m.rmsz) {
+                assert!((o.rmsz_orig - o.rmsz_recon).abs() <= cc_pvt::RMSZ_DIFF_MAX + 1e-12);
             }
         } else {
             assert_eq!(pick.variant, *window.last().unwrap(), "no pass: last rung");

@@ -1207,10 +1207,10 @@ fn handle_evaluate(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCode,
     let v = verdict_for(&ctx, variant);
     Ok(EvalResponse {
         cr: v.cr,
-        pearson_pass: v.pearson_pass,
-        rmsz_pass: v.rmsz_pass,
-        enmax_pass: v.enmax_pass,
-        bias_pass: v.bias_pass,
+        pearson_pass: v.pearson_pass(),
+        rmsz_pass: v.rmsz_pass(),
+        enmax_pass: v.enmax_pass(),
+        bias_pass: v.bias_pass(),
     }
     .encode())
 }

@@ -94,10 +94,10 @@ fn evaluate_opcode_agrees_with_local_verdict() {
     let v = verdict_for(&ctx, Variant::Fpzip { bits: 24 });
 
     assert!((resp.cr - v.cr).abs() < 1e-12, "CR differs: {} vs {}", resp.cr, v.cr);
-    assert_eq!(resp.pearson_pass, v.pearson_pass);
-    assert_eq!(resp.rmsz_pass, v.rmsz_pass);
-    assert_eq!(resp.enmax_pass, v.enmax_pass);
-    assert_eq!(resp.bias_pass, v.bias_pass);
+    assert_eq!(resp.pearson_pass, v.pearson_pass());
+    assert_eq!(resp.rmsz_pass, v.rmsz_pass());
+    assert_eq!(resp.enmax_pass, v.enmax_pass());
+    assert_eq!(resp.bias_pass, v.bias_pass());
     assert_eq!(resp.all_pass(), v.all_pass());
     drop(client);
     server.shutdown();

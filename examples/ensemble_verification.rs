@@ -54,10 +54,10 @@ fn main() {
             "{:<10} {:>6.2} | {:>5} {:>9} {:>10} {:>5} | {}",
             variant.name(),
             v.cr,
-            mark(v.pearson_pass),
-            mark(v.rmsz_pass),
-            mark(v.enmax_pass),
-            mark(v.bias_pass),
+            mark(v.pearson_pass()),
+            mark(v.rmsz_pass()),
+            mark(v.enmax_pass()),
+            mark(v.bias_pass()),
             if v.all_pass() {
                 "statistically indistinguishable"
             } else {

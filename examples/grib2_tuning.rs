@@ -32,7 +32,7 @@ fn main() {
         println!(
             "  D={d}: CR {:.2}, NRMSE {:.2e}, all-tests pass = {}",
             v.cr,
-            v.metrics.map(|m| m.nrmse).unwrap_or(0.0),
+            v.metrics().map_or(0.0, |m| m.nrmse),
             v.all_pass()
         );
     }
@@ -46,7 +46,7 @@ fn main() {
     println!(
         "  CR {:.2}, NRMSE {:.2e}, all-tests pass = {}",
         v.cr,
-        v.metrics.map(|m| m.nrmse).unwrap_or(0.0),
+        v.metrics().map_or(0.0, |m| m.nrmse),
         v.all_pass()
     );
 

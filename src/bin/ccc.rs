@@ -309,10 +309,10 @@ fn verify(flags: &HashMap<String, String>) {
             "{:<10} {:>6.2} | {:>5} {:>9} {:>10} {:>5} | {}",
             variant.name(),
             v.cr,
-            mark(v.pearson_pass),
-            mark(v.rmsz_pass),
-            mark(v.enmax_pass),
-            mark(v.bias_pass),
+            mark(v.pearson_pass()),
+            mark(v.rmsz_pass()),
+            mark(v.enmax_pass()),
+            mark(v.bias_pass()),
             if v.all_pass() { "indistinguishable" } else { "climate-changing" }
         );
     }

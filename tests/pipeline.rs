@@ -76,7 +76,7 @@ fn compression_error_sits_within_natural_variability() {
     let var = eval.model.var_id("U").unwrap();
     let ctx = eval.context(var);
     let v = verdict_for(&ctx, Variant::Apax { rate: 2.0 });
-    let e = v.sample_metrics[0].expect("U is not degenerate").e_nmax;
+    let e = v.members[0].metrics.expect("U is not degenerate").e_nmax;
     let ens_range = ctx.enmax_dist.min();
     assert!(
         e < ens_range / 10.0,

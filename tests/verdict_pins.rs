@@ -110,12 +110,12 @@ fn quick_preset_tables_and_tune_picks_are_pinned() {
 
     for (&var, (name, pinned)) in focus.iter().zip(TUNE) {
         let v = scored[var].tune();
-        assert_eq!(v.name, name, "tune row order");
+        assert_eq!(v.verdict.name, name, "tune row order");
         let got = [
-            v.chosen.name(),
+            v.verdict.variant.name(),
             cr_fmt(v.verdict.cr),
-            v.hybrid_variant.name(),
-            cr_fmt(v.hybrid_cr),
+            v.hybrid.variant.name(),
+            cr_fmt(v.hybrid.cr),
             v.passing.to_string(),
         ];
         for ((column, g), p) in TUNE_COLUMNS.iter().zip(got).zip(pinned) {
