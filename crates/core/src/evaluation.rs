@@ -206,7 +206,7 @@ impl VariableVerdict {
     /// reconstruction passes whatever its ρ).
     pub fn pearson_pass(&self) -> bool {
         self.members.iter().all(|m| {
-            m.passes(m.metrics, |e| e.pearson >= PEARSON_THRESHOLD || e.pearson.is_nan() || e.is_exact())
+            m.passes(m.metrics, |e| e.pearson >= PEARSON_THRESHOLD || e.is_exact())
         })
     }
 
@@ -566,6 +566,41 @@ mod tests {
         // D = -2 quantizes temperature to ~100 K steps: catastrophic.
         let v = verdict_for(&ctx, Variant::Grib2 { decimal_scale: Some(-2) });
         assert!(!v.all_pass(), "coarse quantization must fail");
+    }
+
+    /// A verdict over hand-built members, with a passing bias test.
+    fn verdict_of(members: Vec<MemberOutcome>) -> VariableVerdict {
+        let (name, variant) = ("X".to_string(), Variant::NetCdf4);
+        VariableVerdict { var: 0, name, variant, cr: 1.0, members, bias: None, bias_pass: true }
+    }
+
+    /// A decoded member with exact metrics and passing RMSZ and E_nmax tests.
+    fn exact_member() -> MemberOutcome {
+        let field = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let dist = ScoreDistribution::new(vec![0.5, 1.0, 1.5]);
+        MemberOutcome {
+            member: 0,
+            nbytes: 20,
+            decoded: true,
+            metrics: ErrorMetrics::compare(&field, &field),
+            rmsz: Some(rmsz_test(&dist, 1.0, 1.0)),
+            enmax: Some(enmax_test(&dist, 0.0)),
+        }
+    }
+
+    #[test]
+    fn member_with_nan_pearson_fails_rho() {
+        let exact = exact_member().metrics.unwrap();
+        let noisy = ErrorMetrics { e_max: 0.5, e_nmax: 0.125, pearson: f64::NAN, ..exact };
+        let nan_rho = MemberOutcome { metrics: Some(noisy), ..exact_member() };
+        assert!(!verdict_of(vec![nan_rho]).pearson_pass());
+        // A non-finite reconstruction gives that member.
+        let field = [1.0, 2.0, 3.0, 4.0, 5.0];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let metrics = ErrorMetrics::compare(&field, &[1.0, 2.0, bad, 4.0, 5.0]);
+            let member = MemberOutcome { metrics, ..exact_member() };
+            assert!(!verdict_of(vec![member]).pearson_pass(), "reconstruction with {bad}");
+        }
     }
 
     #[test]

@@ -141,11 +141,13 @@ impl ErrorMetrics {
             let x = a as f64;
             let y = b as f64;
             count += 1;
-            let e = (x - y).abs();
+            // A non-finite reconstruction of a real point is an infinite
+            // error (NaN would slip past the `e > e_max` comparison).
+            let e = if y.is_finite() { (x - y).abs() } else { f64::INFINITY };
             if e > e_max {
                 e_max = e;
             }
-            sq_sum += (x - y) * (x - y);
+            sq_sum += e * e;
             let xs = x - shift;
             let ys = y - shift;
             sx += xs;
@@ -287,6 +289,18 @@ mod tests {
         let m = ErrorMetrics::compare(&x, &y).unwrap();
         assert_eq!(m.count, 2);
         assert!(m.is_exact());
+    }
+
+    #[test]
+    fn non_finite_reconstruction_is_an_infinite_error() {
+        let x = [1.0f32, 2.0, 3.0, 4.0, 5.0];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let m = ErrorMetrics::compare(&x, &[1.0, 2.0, bad, 4.0, 5.0]).unwrap();
+            assert_eq!(m.e_max, f64::INFINITY, "reconstruction with {bad}");
+            assert_eq!(m.e_nmax, f64::INFINITY, "reconstruction with {bad}");
+            assert!(!m.is_exact(), "reconstruction with {bad}");
+            assert!(m.pearson.is_nan(), "reconstruction with {bad}");
+        }
     }
 
     #[test]
