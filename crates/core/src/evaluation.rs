@@ -588,6 +588,29 @@ mod tests {
         }
     }
 
+    fn per_member_tests(v: &VariableVerdict) -> [bool; 3] {
+        [v.pearson_pass(), v.rmsz_pass(), v.enmax_pass()]
+    }
+
+    #[test]
+    fn undecoded_member_fails_the_per_member_tests() {
+        assert_eq!(per_member_tests(&verdict_of(vec![exact_member()])), [true; 3]);
+        // As `score_sample` records a failed decode: no metrics, no tests.
+        let (metrics, rmsz, enmax) = (None, None, None);
+        let undecoded = MemberOutcome { decoded: false, metrics, rmsz, enmax, ..exact_member() };
+        let v = verdict_of(vec![exact_member(), undecoded]);
+        assert_eq!(per_member_tests(&v), [false; 3], "{v:?}");
+        assert!(!v.all_pass());
+    }
+
+    #[test]
+    fn decoded_member_without_metrics_passes_vacuously() {
+        let degenerate = MemberOutcome { metrics: None, rmsz: None, enmax: None, ..exact_member() };
+        let v = verdict_of(vec![exact_member(), degenerate]);
+        assert_eq!(per_member_tests(&v), [true; 3], "{v:?}");
+        assert!(v.all_pass());
+    }
+
     #[test]
     fn member_with_nan_pearson_fails_rho() {
         let exact = exact_member().metrics.unwrap();
