@@ -242,13 +242,15 @@ impl VariableVerdict {
             return None;
         }
         let n = ms.len() as f64;
+        // Unlike `f64::min`, a NaN (a member that fails ρ) wins.
+        let worst = |a: f64, b: f64| if b.is_nan() || b < a { b } else { a };
         Some(ErrorMetrics {
             e_max: ms.iter().map(|m| m.e_max).sum::<f64>() / n,
             e_nmax: ms.iter().map(|m| m.e_nmax).sum::<f64>() / n,
             rmse: ms.iter().map(|m| m.rmse).sum::<f64>() / n,
             nrmse: ms.iter().map(|m| m.nrmse).sum::<f64>() / n,
-            psnr: ms.iter().map(|m| m.psnr).fold(f64::INFINITY, f64::min),
-            pearson: ms.iter().map(|m| m.pearson).fold(f64::INFINITY, f64::min),
+            psnr: ms.iter().map(|m| m.psnr).fold(f64::INFINITY, worst),
+            pearson: ms.iter().map(|m| m.pearson).fold(f64::INFINITY, worst),
             count: ms[0].count,
         })
     }
@@ -616,7 +618,10 @@ mod tests {
         let exact = exact_member().metrics.unwrap();
         let noisy = ErrorMetrics { e_max: 0.5, e_nmax: 0.125, pearson: f64::NAN, ..exact };
         let nan_rho = MemberOutcome { metrics: Some(noisy), ..exact_member() };
-        assert!(!verdict_of(vec![nan_rho]).pearson_pass());
+        assert!(!verdict_of(vec![nan_rho.clone()]).pearson_pass());
+        // The aggregate reports that member's ρ, not a better one.
+        let v = verdict_of(vec![exact_member(), nan_rho]);
+        assert!(v.metrics().unwrap().pearson.is_nan(), "{v:?}");
         // A non-finite reconstruction gives that member.
         let field = [1.0, 2.0, 3.0, 4.0, 5.0];
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
