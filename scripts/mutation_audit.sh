@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Mutation audit: every row of a mutant table must be caught by its tests.
+# Mutation audit: every row of scripts/mutants.tsv must be caught by its tests.
 #
-#   scripts/mutation_audit.sh [TABLE]     # TABLE defaults to scripts/mutants.tsv
+#   scripts/mutation_audit.sh
 #
 # A row is four tab-separated fields: a file, an exact text in it, the
-# replacement, and the `cargo test` arguments that must fail under the
-# mutant. Blank lines and lines starting with '#' are skipped.
+# replacement (empty for a deletion), and the `cargo test` arguments that
+# must fail under the mutant. Blank lines and lines starting with '#' are
+# skipped.
 #
 # The audit runs on a copy of the tree (tracked and untracked files, not
 # ignored ones) in a fresh temporary directory, so the checkout is never
@@ -21,7 +22,7 @@
 set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
-table=$(realpath "${1:-$root/scripts/mutants.tsv}")
+table=$root/scripts/mutants.tsv
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 log=$tmp/log backup=$tmp/backup
@@ -33,10 +34,16 @@ git -C "$root" ls-files -z --cached --others --exclude-standard |
 cd "$tmp/tree"
 
 files=() texts=() repls=() args=()
-while IFS=$'\t' read -r file text repl test_args || [ -n "$file" ]; do
-    case "$file" in '' | '#'*) continue ;; esac
-    if [ -z "$test_args" ]; then
-        echo "malformed row (needs four tab-separated fields): $file" >&2
+# Split on each tab by hand: `read` would merge the two tabs around an
+# empty replacement into one separator.
+while IFS= read -r line || [ -n "$line" ]; do
+    case "$line" in '' | '#'*) continue ;; esac
+    tabs=${line//[!$'\t']/}
+    file=${line%%$'\t'*} rest=${line#*$'\t'}
+    text=${rest%%$'\t'*} rest=${rest#*$'\t'}
+    repl=${rest%%$'\t'*} test_args=${rest#*$'\t'}
+    if [ "${#tabs}" -ne 3 ] || [ -z "$text" ] || [ -z "$test_args" ]; then
+        echo "malformed row (needs four tab-separated fields): $line" >&2
         exit 1
     fi
     files+=("$file") texts+=("$text") repls+=("$repl") args+=("$test_args")
