@@ -606,7 +606,7 @@ impl Runner {
     // ------------------------------------------------------------------
     fn table5(&mut self) {
         let mut t = Table::new(
-            "Table 5: Compression and reconstruction timings (seconds) and CR",
+            "Table 5: Compression and reconstruction timings (ms) and CR",
             &[
                 "Method", "U comp.", "U reconst.", "U CR", "FSDSC comp.", "FSDSC reconst.",
                 "FSDSC CR",
@@ -619,26 +619,29 @@ impl Runner {
             let field = &ctx.fields[ctx.sample_idx[0]];
             for (i, &variant) in variants.iter().enumerate() {
                 let codec = variant.codec();
-                // Median-of-3 wall-clock timings.
+                // One warm-up round trip, then the median of 7 timed ones.
                 let mut comp_times = Vec::new();
                 let mut reco_times = Vec::new();
                 let mut bytes = Vec::new();
-                for _ in 0..3 {
+                for round in 0..8 {
                     let t0 = Instant::now();
                     bytes = codec.compress(field, ctx.layout);
-                    comp_times.push(t0.elapsed().as_secs_f64());
+                    let comp = t0.elapsed().as_secs_f64() * 1e3;
                     let t1 = Instant::now();
                     let _ = codec.decompress(&bytes, ctx.layout).expect("own stream");
-                    reco_times.push(t1.elapsed().as_secs_f64());
+                    if round > 0 {
+                        comp_times.push(comp);
+                        reco_times.push(t1.elapsed().as_secs_f64() * 1e3);
+                    }
                 }
-                comp_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                reco_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                comp_times.sort_by(f64::total_cmp);
+                reco_times.sort_by(f64::total_cmp);
                 let cr = bytes.len() as f64 / ctx.raw_bytes() as f64;
                 // Flag variants whose quality fails the tests, as the
                 // paper's (*) footnote does for FSDSC.
                 let star = if scored.get(variant).all_pass() { "" } else { "(*)" };
-                cells[i].push(format!("{:.4}", comp_times[1]));
-                cells[i].push(format!("{:.4}", reco_times[1]));
+                cells[i].push(format!("{:.3}", comp_times[3]));
+                cells[i].push(format!("{:.3}", reco_times[3]));
                 cells[i].push(format!("{}{}", cr_fmt(cr), star));
             }
         }

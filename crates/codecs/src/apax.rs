@@ -176,6 +176,12 @@ fn rice_size(zz: &[u64], k: u32) -> u64 {
     bits
 }
 
+/// Exact bits of `zz` Rice-coded the way the fixed-rate writer codes it:
+/// each quarter at its own best parameter.
+fn rice_bits(zz: &[u64]) -> u64 {
+    quarters(zz).map(|quarter| rice_size(quarter, rice_k_for(quarter))).sum()
+}
+
 /// Block header: exp(16) + order(2) + shift s(6) + width W(6) bits.
 const HEADER_BITS: u64 = 30;
 
@@ -188,26 +194,58 @@ fn block_budget_bits(n: usize, rate: f64) -> u64 {
     (((n as f64) * 32.0 / rate).floor() as u64).max(HEADER_BITS + 18 + 2 * 28 + n as u64)
 }
 
+/// Block floating point: the shared exponent from the block's max
+/// magnitude, the scale it implies, and the samples as signed mantissas of
+/// BFP_BITS precision.
+fn block_mantissas(block: &[f32]) -> (i32, f64, Vec<i64>) {
+    let max_abs = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let exp = if max_abs == 0.0 { -126 } else { max_abs.log2().floor() as i32 };
+    let scale = 2f64.powi(BFP_BITS as i32 - 2 - exp);
+    (exp, scale, block.iter().map(|&v| (v as f64 * scale).round() as i64).collect())
+}
+
 impl Apax {
     /// Quantize mantissas by `s` bits (round-to-nearest, in the original
     /// domain so the error is bounded per sample with no integration
-    /// amplification), then apply the derivative pre-filter losslessly.
-    fn quantize_and_filter(q: &[i64], s: u32, order: u32) -> Vec<i64> {
-        let mut out: Vec<i64> = q.iter().map(|&v| round_shift(v, s)).collect();
-        apply_derivative(&mut out, order);
-        out
+    /// amplification), then apply the derivative pre-filter losslessly,
+    /// into `out`.
+    fn quantize_and_filter(q: &[i64], s: u32, order: u32, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend(q.iter().map(|&v| round_shift(v, s)));
+        apply_derivative(out, order);
+    }
+
+    /// The smallest quantization shift (at most 40) whose Rice-coded
+    /// residuals fit `payload` bits, so smooth blocks spend the rate on
+    /// extra precision instead of padding. `filtered` ends up holding that
+    /// shift's filtered mantissas.
+    ///
+    /// A Rice code of v costs at least bitlen(v) + 1 bits at any k: k ≥ b
+    /// costs 1 + k, k < b costs 2^(b−1−k) + 1 + k ≥ b + 1, and the escape
+    /// 112. A shift whose sum of those floors exceeds the payload cannot
+    /// fit, so the zigzag pass rejects it without sizing the Rice codes.
+    fn fit_shift(q: &[i64], order: usize, payload: u64, filtered: &mut Vec<i64>) -> u32 {
+        let mut zz = Vec::with_capacity(q.len());
+        let mut s = 0u32;
+        loop {
+            Self::quantize_and_filter(q, s, order as u32, filtered);
+            zz.clear();
+            let mut floor = 0u64;
+            for &v in &filtered[order..] {
+                let z = zigzag(v);
+                floor += u64::from(64 - z.leading_zeros()) + 1;
+                zz.push(z);
+            }
+            if s >= 40 || (floor <= payload && rice_bits(&zz) <= payload) {
+                return s;
+            }
+            s += 1;
+        }
     }
 
     fn compress_block(&self, block: &[f32], w: &mut BitWriter) {
         let n = block.len();
-
-        // Block floating point: shared exponent from the block's max
-        // magnitude; mantissas are signed integers of BFP_BITS precision.
-        let max_abs = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let exp = if max_abs == 0.0 { -126 } else { max_abs.log2().floor() as i32 };
-        let shift = BFP_BITS as i32 - 2 - exp;
-        let scale = 2f64.powi(shift);
-        let q: Vec<i64> = block.iter().map(|&v| (v as f64 * scale).round() as i64).collect();
+        let (exp, scale, q) = block_mantissas(block);
 
         // Adaptive derivative pre-filter (chosen on unquantized mantissas).
         let order = (choose_derivative(&q) as usize).min(n);
@@ -217,34 +255,25 @@ impl Apax {
         const WARMUP_BITS: u64 = 28; // zigzagged 26-bit BFP mantissas
 
         // Choose the quantization shift `s`.
-        let (s, filtered) = match self.mode {
-            Mode::Lossless => (0u32, Self::quantize_and_filter(&q, 0, order as u32)),
+        let mut filtered = Vec::with_capacity(n);
+        let s = match self.mode {
+            Mode::Lossless => {
+                Self::quantize_and_filter(&q, 0, order as u32, &mut filtered);
+                0
+            }
             Mode::FixedQuality(target) => {
                 // Quantizing mantissas by s bits gives |err| ≤ 2^(s−1)/scale.
                 let max_step = (target * scale).max(1.0);
                 let s = (max_step.log2().floor().max(0.0) as u32).min(40);
-                (s, Self::quantize_and_filter(&q, s, order as u32))
+                Self::quantize_and_filter(&q, s, order as u32, &mut filtered);
+                s
             }
             Mode::FixedRate(rate) => {
-                // Find the smallest quantization shift whose Rice-coded
-                // stream fits the block budget, so smooth blocks spend the
-                // rate on extra precision instead of padding.
                 let budget = block_budget_bits(n, rate);
                 let payload = budget.saturating_sub(
                     HEADER_BITS + 3 * 6 + order as u64 * WARMUP_BITS,
                 );
-                let mut s = 0u32;
-                loop {
-                    let f = Self::quantize_and_filter(&q, s, order as u32);
-                    let zz: Vec<u64> = f[order..].iter().map(|&v| zigzag(v)).collect();
-                    let size: u64 = quarters(&zz)
-                        .map(|quarter| rice_size(quarter, rice_k_for(quarter)))
-                        .sum();
-                    if size <= payload || s >= 40 {
-                        break (s, f);
-                    }
-                    s += 1;
-                }
+                Self::fit_shift(&q, order, payload, &mut filtered)
             }
         };
 
@@ -562,6 +591,79 @@ mod tests {
                 assert!(err <= tol, "{a} -> {b} (err {err}, tol {tol})");
             }
         }
+    }
+
+    /// The fixed-rate search before the Rice-size floor: each shift from
+    /// 0 up is quantized, filtered, zigzagged and Rice-sized until one
+    /// fits. Kept as the oracle for `fit_shift`.
+    fn linear_shift(q: &[i64], order: usize, payload: u64) -> (u32, Vec<i64>) {
+        let mut s = 0u32;
+        loop {
+            let mut f = Vec::new();
+            Apax::quantize_and_filter(q, s, order as u32, &mut f);
+            let zz: Vec<u64> = f[order..].iter().map(|&v| zigzag(v)).collect();
+            if rice_bits(&zz) <= payload || s >= 40 {
+                return (s, f);
+            }
+            s += 1;
+        }
+    }
+
+    #[test]
+    fn floored_shift_search_matches_the_linear_scan() {
+        let golden = |npts: usize, lev: usize| -> Vec<f32> {
+            (0..npts)
+                .map(|p| {
+                    let x = p as f32 / npts as f32;
+                    250.0
+                        + 40.0 * (7.1 * x).sin()
+                        + 3.0 * (53.0 * x + lev as f32 * 0.7).cos()
+                        + 0.05 * ((p * 37 + lev * 11) % 97) as f32
+                })
+                .collect()
+        };
+        let mut state = 0xA9A7u64;
+        let random: Vec<f32> = (0..BLOCK * 16)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let u = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                u * 10f32.powi((i / BLOCK) as i32 % 7 - 3)
+            })
+            .collect();
+        let fields = [
+            golden(9_000, 0),
+            golden(9_000, 1),
+            golden(40_000, 0),
+            smooth_field(BLOCK * 8, 2).0,
+            noisy_field(BLOCK * 8 + 57).0,
+            random,
+        ];
+        let (mut floored, mut probes) = (0usize, 0usize);
+        for data in &fields {
+            for block in data.chunks(BLOCK) {
+                let (_, _, q) = block_mantissas(block);
+                let order = (choose_derivative(&q) as usize).min(block.len());
+                for rate in [2.0, 3.0, 4.0, 5.0, 8.0] {
+                    let payload = block_budget_bits(block.len(), rate)
+                        .saturating_sub(HEADER_BITS + 18 + order as u64 * 28);
+                    let mut filtered = Vec::new();
+                    let s = Apax::fit_shift(&q, order, payload, &mut filtered);
+                    let (s_lin, f_lin) = linear_shift(&q, order, payload);
+                    assert_eq!((s, &filtered), (s_lin, &f_lin), "rate {rate}");
+                    // How many rejected shifts the floor alone settles.
+                    for below in 0..s {
+                        Apax::quantize_and_filter(&q, below, order as u32, &mut filtered);
+                        let floor: u64 = filtered[order..]
+                            .iter()
+                            .map(|&v| u64::from(64 - zigzag(v).leading_zeros()) + 1)
+                            .sum();
+                        floored += usize::from(floor > payload);
+                        probes += 1;
+                    }
+                }
+            }
+        }
+        assert!(floored * 2 > probes, "the floor settles {floored} of {probes} rejected shifts");
     }
 
     #[test]

@@ -162,7 +162,8 @@ pub struct MemberOutcome {
     pub nbytes: usize,
     /// False when the codec failed to decode its own stream.
     pub decoded: bool,
-    /// Error metrics (`None` for a degenerate field or a failed decode).
+    /// Error metrics (`None` for a failed decode or a field with no
+    /// comparable point).
     pub metrics: Option<ErrorMetrics>,
     /// The RMSZ ensemble test (`None` without metrics).
     pub rmsz: Option<RmszOutcome>,
@@ -172,8 +173,8 @@ pub struct MemberOutcome {
 
 impl MemberOutcome {
     /// One per-member test on this member: a member that failed to decode
-    /// fails it, and a decoded member without `outcome` (a degenerate
-    /// field has no metrics) passes it vacuously.
+    /// fails it, and a decoded member without `outcome` (a field whose
+    /// every point is special has no metrics) passes it vacuously.
     fn passes<T>(&self, outcome: Option<T>, pass: impl FnOnce(T) -> bool) -> bool {
         self.decoded && outcome.is_none_or(pass)
     }
@@ -628,6 +629,23 @@ mod tests {
             let metrics = ErrorMetrics::compare(&field, &[1.0, 2.0, bad, 4.0, 5.0]);
             let member = MemberOutcome { metrics, ..exact_member() };
             assert!(!verdict_of(vec![member]).pearson_pass(), "reconstruction with {bad}");
+        }
+    }
+
+    #[test]
+    fn wrecked_constant_field_fails_rho_and_enmax() {
+        let field = [2.0f32; 10];
+        let dist = ScoreDistribution::new(vec![0.5, 1.0, 1.5]);
+        let member = |recon: &[f32]| {
+            let metrics = ErrorMetrics::compare(&field, recon);
+            let enmax = metrics.map(|m| enmax_test(&dist, m.e_nmax));
+            verdict_of(vec![MemberOutcome { metrics, enmax, ..exact_member() }])
+        };
+        let exact = member(&field);
+        assert!(exact.pearson_pass() && exact.enmax_pass(), "{exact:?}");
+        for bad in [[f32::NAN; 10], [1e6; 10]] {
+            let v = member(&bad);
+            assert!(!v.pearson_pass() && !v.enmax_pass(), "{v:?}");
         }
     }
 

@@ -34,49 +34,48 @@ pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u32> {
         active.len()
     );
 
-    // Package-merge. Packages are Copy nodes — a leaf (index into
-    // `active`) or a pair of indices into the previous level's sorted
-    // array — so each level is a flat clone + stable sort with no
-    // per-package allocation. Construction order (leaves first, then
-    // pairs) and the stable sort keep tie-breaking, and therefore the
-    // resulting length vector, identical to the list-of-leaves form.
-    #[derive(Clone, Copy)]
-    enum Node {
-        Leaf(u32),
-        Pair(u32, u32),
-    }
-    let leaf_items: Vec<(u64, Node)> = active
-        .iter()
-        .enumerate()
-        .map(|(j, &i)| (freqs[i], Node::Leaf(j as u32)))
-        .collect();
-
-    let mut levels: Vec<Vec<(u64, Node)>> = Vec::with_capacity(max_len as usize);
+    // Package-merge over the active symbols sorted once by frequency (the
+    // stable sort keeps ties in symbol order). Each of the `max_len` levels
+    // is a linear merge of the sorted leaves with the previous level's pair
+    // sums (items 2k and 2k+1), taking the leaf first on a tie: the order a
+    // stable sort of [leaves, pairs] gives. A level keeps one is-package
+    // flag per item; only its weights feed the next level.
+    let mut leaves = active;
+    leaves.sort_by_key(|&i| freqs[i]);
+    let leaf_w: Vec<u64> = leaves.iter().map(|&i| freqs[i]).collect();
+    let mut weights: Vec<u64> = Vec::new();
+    let mut levels: Vec<Vec<bool>> = Vec::with_capacity(max_len as usize);
     for _level in 0..max_len {
-        let mut merged = leaf_items.clone();
-        if let Some(prev) = levels.last() {
-            for (k, pair) in prev.chunks_exact(2).enumerate() {
-                merged.push((pair[0].0 + pair[1].0, Node::Pair(2 * k as u32, 2 * k as u32 + 1)));
+        let pairs: Vec<u64> = weights.chunks_exact(2).map(|p| p[0] + p[1]).collect();
+        let mut merged = Vec::with_capacity(leaf_w.len() + pairs.len());
+        let mut is_package = Vec::with_capacity(leaf_w.len() + pairs.len());
+        let (mut a, mut b) = (0, 0);
+        while a < leaf_w.len() || b < pairs.len() {
+            let leaf = b == pairs.len() || (a < leaf_w.len() && leaf_w[a] <= pairs[b]);
+            if leaf {
+                merged.push(leaf_w[a]);
+                a += 1;
+            } else {
+                merged.push(pairs[b]);
+                b += 1;
             }
+            is_package.push(!leaf);
         }
-        merged.sort_by_key(|p| p.0);
-        levels.push(merged);
+        weights = merged;
+        levels.push(is_package);
     }
 
-    // Take the cheapest 2(n-1) packages of the last level; each leaf
-    // reachable from a taken package adds one to its symbol's length.
-    // Iterative traversal over (level, index) pairs.
-    let take = 2 * (active.len() - 1);
-    let top = levels.len() - 1;
-    let mut stack: Vec<(usize, u32)> = (0..take).map(|i| (top, i as u32)).collect();
-    while let Some((level, idx)) = stack.pop() {
-        match levels[level][idx as usize].1 {
-            Node::Leaf(j) => lengths[active[j as usize]] += 1,
-            Node::Pair(a, b) => {
-                stack.push((level - 1, a));
-                stack.push((level - 1, b));
-            }
+    // Count lengths top-down from the cheapest 2(n-1) items of the last
+    // level. The first m items of a level are a prefix of the sorted leaves
+    // plus the level's first p packages: each of those leaves gains one bit,
+    // and the p packages are the first 2p items one level down.
+    let mut m = 2 * (leaves.len() - 1);
+    for is_package in levels.iter().rev() {
+        let packages = is_package[..m].iter().filter(|&&p| p).count();
+        for &sym in &leaves[..m - packages] {
+            lengths[sym] += 1;
         }
+        m = 2 * packages;
     }
     debug_assert!(lengths.iter().all(|&l| l <= max_len));
     lengths
@@ -347,6 +346,91 @@ mod tests {
                     "code {i} prefixes {j}"
                 );
             }
+        }
+    }
+
+    /// The package-merge this module used before the counted form: every
+    /// level cloned and stably sorted, every taken package walked on a
+    /// stack. Kept as the oracle for `code_lengths`.
+    fn sort_and_walk(freqs: &[u64], max_len: u32) -> Vec<u32> {
+        #[derive(Clone, Copy)]
+        enum Node {
+            Leaf(u32),
+            Pair(u32, u32),
+        }
+        let active: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+        let mut lengths = vec![0u32; freqs.len()];
+        if active.len() < 2 {
+            if let [only] = active[..] {
+                lengths[only] = 1;
+            }
+            return lengths;
+        }
+        let leaf_items: Vec<(u64, Node)> = active
+            .iter()
+            .enumerate()
+            .map(|(j, &i)| (freqs[i], Node::Leaf(j as u32)))
+            .collect();
+        let mut levels: Vec<Vec<(u64, Node)>> = Vec::new();
+        for _level in 0..max_len {
+            let mut merged = leaf_items.clone();
+            if let Some(prev) = levels.last() {
+                for (k, pair) in prev.chunks_exact(2).enumerate() {
+                    let node = Node::Pair(2 * k as u32, 2 * k as u32 + 1);
+                    merged.push((pair[0].0 + pair[1].0, node));
+                }
+            }
+            merged.sort_by_key(|p| p.0);
+            levels.push(merged);
+        }
+        let top = levels.len() - 1;
+        let mut stack: Vec<(usize, u32)> =
+            (0..2 * (active.len() - 1)).map(|i| (top, i as u32)).collect();
+        while let Some((level, idx)) = stack.pop() {
+            match levels[level][idx as usize].1 {
+                Node::Leaf(j) => lengths[active[j as usize]] += 1,
+                Node::Pair(a, b) => {
+                    stack.push((level - 1, a));
+                    stack.push((level - 1, b));
+                }
+            }
+        }
+        lengths
+    }
+
+    #[test]
+    fn counted_package_merge_matches_sort_and_walk() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for case in 0..3000 {
+            let n = 2 + next(299) as usize;
+            // Narrow frequency ranges force ties between leaves and between
+            // leaves and package sums; wide ones force deep, clamped codes.
+            let spread = [2, 4, 16, 1 << 20][case % 4];
+            let freqs: Vec<u64> = (0..n)
+                .map(|_| if next(5) == 0 { 0 } else { 1 + next(spread) })
+                .collect();
+            let active = freqs.iter().filter(|&&f| f > 0).count().max(1);
+            let min_len = usize::BITS - (active - 1).leading_zeros();
+            for max_len in [min_len.max(1), (min_len + 1).min(15), 15] {
+                assert_eq!(
+                    code_lengths(&freqs, max_len),
+                    sort_and_walk(&freqs, max_len),
+                    "case {case}, max_len {max_len}, freqs {freqs:?}"
+                );
+            }
+        }
+        // Fibonacci weights: every level holds ties between a leaf and a sum.
+        let mut fib = vec![1u64, 1];
+        while fib.len() < 30 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        for max_len in 5..=15 {
+            let (counted, walked) = (code_lengths(&fib, max_len), sort_and_walk(&fib, max_len));
+            assert_eq!(counted, walked, "max_len {max_len}");
         }
     }
 

@@ -4,6 +4,8 @@
 //! `(length, distance)` back-references with DEFLATE's limits (match length
 //! 3..=258, distance 1..=32768).
 
+use std::cell::RefCell;
+
 /// Minimum match length worth encoding.
 pub const MIN_MATCH: usize = 3;
 /// Maximum match length.
@@ -94,6 +96,34 @@ fn hash3(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Hash-chain tables, kept per thread: a call zeroes the 128 KiB `head`
+/// and allocates no table. Both are fixed-size arrays, so the hashed and
+/// masked indices need no bounds check.
+///
+/// `head[h]` is the most recent position with hash h (+1; 0 = none), and
+/// `prev[i & (WINDOW-1)]` the previous position in i's chain (+1; 0 =
+/// none). `head` is cleared on every call, so each walk starts at a
+/// position this call inserted. (A stale entry would not change the tokens,
+/// since a position of this call with another hash never matches, but it
+/// would send the walk down that hash's chain.) `prev` is never cleared: a
+/// walk reads `prev[c & (WINDOW-1)]` only for a position `c` this call
+/// inserted, with `pos - c <= WINDOW`. That slot was written when `c` was
+/// inserted, and the next write to it would come from position
+/// `c + WINDOW`, which is not below `pos` and so not inserted yet. By
+/// induction every candidate is a position of this call, and nothing an
+/// earlier call left in `prev` is ever read.
+struct Tables {
+    head: Box<[u32; HASH_SIZE]>,
+    prev: Box<[u32; WINDOW]>,
+}
+
+thread_local! {
+    static TABLES: RefCell<Tables> = RefCell::new(Tables {
+        head: vec![0; HASH_SIZE].into_boxed_slice().try_into().expect("HASH_SIZE entries"),
+        prev: vec![0; WINDOW].into_boxed_slice().try_into().expect("WINDOW entries"),
+    });
+}
+
 /// Tokenize `data` with hash-chain match finding.
 pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
     let n = data.len();
@@ -102,19 +132,31 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
         tokens.extend(data.iter().map(|&b| Token::Literal(b)));
         return tokens;
     }
+    TABLES.with_borrow_mut(|Tables { head, prev }| {
+        head.fill(0);
+        tokenize_into(data, effort, head, prev, &mut tokens);
+    });
+    tokens
+}
 
-    // head[h]: most recent position with hash h (+1; 0 = none).
-    // prev[i & (WINDOW-1)]: previous position in i's chain (+1; 0 = none).
-    let mut head = vec![0u32; HASH_SIZE];
-    let mut prev = vec![0u32; WINDOW];
+/// The match-finding loop of [`tokenize`] over the thread's tables, for an
+/// input of at least [`MIN_MATCH`] bytes.
+fn tokenize_into(
+    data: &[u8],
+    effort: Effort,
+    head: &mut [u32; HASH_SIZE],
+    prev: &mut [u32; WINDOW],
+    tokens: &mut Vec<Token>,
+) {
+    let n = data.len();
     let max_chain = effort.max_chain();
     let nice = effort.nice_length();
 
     // `hash` is the precomputed hash3 at `pos` (the main loop computes it
     // once per position and shares it with the insert at the same spot).
     let find_match = |data: &[u8],
-                      head: &[u32],
-                      prev: &[u32],
+                      head: &[u32; HASH_SIZE],
+                      prev: &[u32; WINDOW],
                       pos: usize,
                       hash: usize|
      -> Option<(usize, usize)> {
@@ -154,11 +196,11 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
 
     // Insert with the hash already in hand (caller guarantees
     // `i + MIN_MATCH <= data.len()`).
-    let insert_at = |head: &mut [u32], prev: &mut [u32], h: usize, i: usize| {
+    let insert_at = |head: &mut [u32; HASH_SIZE], prev: &mut [u32; WINDOW], h: usize, i: usize| {
         prev[i & (WINDOW - 1)] = head[h];
         head[h] = (i + 1) as u32;
     };
-    let insert = |head: &mut [u32], prev: &mut [u32], data: &[u8], i: usize| {
+    let insert = |head: &mut [u32; HASH_SIZE], prev: &mut [u32; WINDOW], data: &[u8], i: usize| {
         if i + MIN_MATCH <= data.len() {
             let h = hash3(data, i);
             prev[i & (WINDOW - 1)] = head[h];
@@ -171,7 +213,7 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
     while i < n {
         let tail = i + MIN_MATCH > n;
         let h = if tail { 0 } else { hash3(data, i) };
-        let cur = if tail { None } else { find_match(data, &head, &prev, i, h) };
+        let cur = if tail { None } else { find_match(data, head, prev, i, h) };
         if let Some((plen, pdist)) = pending {
             // Lazy evaluation: if the current match is strictly better,
             // emit a literal for i-1 and keep searching from i.
@@ -179,7 +221,7 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
             if cur_better {
                 tokens.push(Token::Literal(data[i - 1]));
                 pending = cur;
-                insert_at(&mut head, &mut prev, h, i);
+                insert_at(head, prev, h, i);
                 i += 1;
                 continue;
             } else {
@@ -189,10 +231,10 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
                 // already inserted at i-1 and the probe at i).
                 let end = (i - 1) + plen;
                 if !tail {
-                    insert_at(&mut head, &mut prev, h, i);
+                    insert_at(head, prev, h, i);
                 }
                 for j in i + 1..end {
-                    insert(&mut head, &mut prev, data, j);
+                    insert(head, prev, data, j);
                 }
                 pending = None;
                 i = end;
@@ -203,14 +245,14 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
             Some((len, dist)) => {
                 if effort.lazy() && len < nice && i + 1 < n {
                     pending = Some((len, dist));
-                    insert_at(&mut head, &mut prev, h, i);
+                    insert_at(head, prev, h, i);
                     i += 1;
                 } else {
                     tokens.push(Token::Match { len: len as u16, dist: dist as u16 });
                     let end = i + len;
-                    insert_at(&mut head, &mut prev, h, i);
+                    insert_at(head, prev, h, i);
                     for j in i + 1..end {
-                        insert(&mut head, &mut prev, data, j);
+                        insert(head, prev, data, j);
                     }
                     i = end;
                 }
@@ -218,7 +260,7 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
             None => {
                 tokens.push(Token::Literal(data[i]));
                 if !tail {
-                    insert_at(&mut head, &mut prev, h, i);
+                    insert_at(head, prev, h, i);
                 }
                 i += 1;
             }
@@ -232,7 +274,6 @@ pub fn tokenize(data: &[u8], effort: Effort) -> Vec<Token> {
         // match already covers. The main loop structure guarantees none
         // were emitted, so nothing to do.
     }
-    tokens
 }
 
 /// Expand a token stream back into bytes. `size_hint` preallocates.
@@ -342,6 +383,54 @@ mod tests {
             if let Token::Match { len, dist } = t {
                 assert!((MIN_MATCH..=MAX_MATCH).contains(&(len as usize)));
                 assert!(dist as usize >= 1 && dist as usize <= WINDOW);
+            }
+        }
+    }
+
+    /// The thread's `head` table, as the last call left it.
+    fn head_table() -> Vec<u32> {
+        TABLES.with_borrow(|t| t.head.to_vec())
+    }
+
+    #[test]
+    fn reused_tables_match_a_fresh_thread() {
+        let mut state = 7u64;
+        let mut noise = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 60) as u8
+                })
+                .collect()
+        };
+        let floats = |n: usize, f: f32| -> Vec<u8> {
+            (0..n / 4).flat_map(|i| (i as f32 * f).sin().to_le_bytes()).collect()
+        };
+        // Longer then shorter inputs, one past the window and two below a
+        // match, so each call finds the tables another call left behind.
+        let inputs = [
+            floats(3 * WINDOW, 0.01),
+            noise(9_500),
+            floats(20_000, 0.003),
+            b"ab".to_vec(),
+            noise(WINDOW + 1_000),
+            vec![5u8; 2],
+            floats(700, 0.2),
+            noise(40),
+        ];
+        for effort in [Effort::Fast, Effort::Default, Effort::Best] {
+            for data in &inputs {
+                let here = (tokenize(data, effort), head_table());
+                let copy = data.clone();
+                let fresh = std::thread::spawn(move || (tokenize(&copy, effort), head_table()))
+                    .join()
+                    .unwrap();
+                assert!(here.0 == fresh.0, "{effort:?}, {} bytes: tokens differ", data.len());
+                // Below MIN_MATCH the tables are not touched, so only the
+                // tokens compare.
+                if data.len() >= MIN_MATCH {
+                    assert!(here.1 == fresh.1, "{effort:?}, {} bytes: stale head", data.len());
+                }
             }
         }
     }

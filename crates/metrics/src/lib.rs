@@ -118,9 +118,9 @@ pub struct ErrorMetrics {
 impl ErrorMetrics {
     /// Compare `recon` against `orig`, skipping points that are special in
     /// the original. Panics if lengths differ; returns `None` if no
-    /// comparable points exist or the original range is zero (a constant
-    /// field has no meaningful normalized error — callers treat constant
-    /// fields as trivially losslessly compressible).
+    /// comparable points exist. A constant original (range zero) has
+    /// `e_nmax` and `nrmse` 0 when the reconstruction is exact and +∞
+    /// otherwise.
     pub fn compare(orig: &[f32], recon: &[f32]) -> Option<ErrorMetrics> {
         assert_eq!(orig.len(), recon.len(), "field lengths differ");
         let stats = FieldStats::compute(orig)?;
@@ -177,9 +177,17 @@ impl ErrorMetrics {
         } else {
             (cov / (var_x.sqrt() * var_y.sqrt())).clamp(-1.0, 1.0)
         };
-        if range <= 0.0 {
-            return None;
-        }
+        // A constant original leaves no range to normalize by: an exact
+        // reconstruction scores 0 and any error +∞.
+        let normalized = |e: f64| {
+            if range > 0.0 {
+                e / range
+            } else if e == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        };
         let psnr = if rmse == 0.0 {
             f64::INFINITY
         } else {
@@ -187,9 +195,9 @@ impl ErrorMetrics {
         };
         Some(ErrorMetrics {
             e_max,
-            e_nmax: e_max / range,
+            e_nmax: normalized(e_max),
             rmse,
-            nrmse: rmse / range,
+            nrmse: normalized(rmse),
             psnr,
             pearson,
             count,
@@ -304,9 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn error_metrics_constant_field_is_none() {
+    fn constant_field_errors_are_zero_or_infinite() {
         let x = [2.0f32; 10];
-        assert!(ErrorMetrics::compare(&x, &x).is_none());
+        let m = ErrorMetrics::compare(&x, &x).unwrap();
+        assert_eq!((m.e_nmax, m.nrmse, m.pearson), (0.0, 0.0, 1.0));
+        for bad in [[f32::NAN; 10], [1e6; 10]] {
+            let m = ErrorMetrics::compare(&x, &bad).unwrap();
+            let inf = f64::INFINITY;
+            assert_eq!((m.e_nmax, m.nrmse, m.pearson), (inf, inf, 0.0), "{bad:?}");
+        }
     }
 
     #[test]

@@ -376,6 +376,27 @@ mod tests {
     }
 
     #[test]
+    fn points_below_min_sigma_do_not_count() {
+        // Point 0 spreads by about 5e-13 across members: below MIN_SIGMA,
+        // above 1e-13. A reconstruction that moves only that point keeps
+        // the member's RMSZ.
+        let npts = 40;
+        let field = |m: usize| {
+            let mut f = member_field(m, npts);
+            f[0] = if m.is_multiple_of(2) { 1.0e-12 } else { 2.0e-12 };
+            f
+        };
+        let mut stats = EnsembleStats::new(npts);
+        for m in 0..12 {
+            stats.add_member(&field(m));
+        }
+        let f = field(3);
+        let mut moved = f.clone();
+        moved[0] = 0.0;
+        assert_eq!(stats.rmsz_excluding(&f, &moved), stats.rmsz_excluding(&f, &f));
+    }
+
+    #[test]
     fn rmsz_naive_leave_one_out_agrees() {
         // Cross-check the streaming algebra against a naive recomputation.
         let n = 12;

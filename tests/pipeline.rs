@@ -3,7 +3,7 @@
 use climate_compress::codecs::{Layout, Variant};
 use climate_compress::core::evaluation::{verdict_for, EvalConfig, Evaluation};
 use climate_compress::grid::Resolution;
-use climate_compress::metrics::{ErrorMetrics, FieldStats};
+use climate_compress::metrics::{is_special, ErrorMetrics, FieldStats, FILL_VALUE};
 use climate_compress::model::Model;
 
 fn small_eval() -> Evaluation {
@@ -42,11 +42,13 @@ fn lossless_paths_are_bit_exact_on_model_output() {
             let codec = variant.codec();
             let bytes = codec.compress(&field.data, layout);
             let recon = codec.decompress(&bytes, layout).expect("roundtrip");
-            // SST carries 1e35 fills: fpzip-32 behind the guard restores
-            // the canonical fill; everything else must be bit-exact.
+            // SST carries the model's fills: both paths give back
+            // cc-metrics' FILL_VALUE there (fpzip-32 behind the guard
+            // restores the canonical fill); everything else must be
+            // bit-exact.
             for (i, (&a, &b)) in field.data.iter().zip(&recon).enumerate() {
-                if a.abs() >= 1e30 {
-                    assert_eq!(b, 1.0e35, "{name}/{}: fill at {i}", variant.name());
+                if is_special(a) {
+                    assert_eq!(b, FILL_VALUE, "{name}/{}: fill at {i}", variant.name());
                 } else {
                     assert_eq!(a.to_bits(), b.to_bits(), "{name}/{} at {i}", variant.name());
                 }
