@@ -22,6 +22,11 @@
 //! invertible, so the original bits round-trip even under a lossy
 //! keyframe codec.
 //!
+//! The writer runs one `ChainEncoder` per keyframe chain. It holds the
+//! chain's running reconstruction and reuses its code, escape and body
+//! buffers from frame to frame, appending each blob to the chain's byte
+//! buffer.
+//!
 //! Every decode allocation is capped before it happens: the body cap is
 //! the exact worst case for `n` elements (`8 + 5n` code bytes `+ 4n`
 //! escape bytes), enforced by [`cc_lossless::decompress_capped`].
@@ -39,72 +44,100 @@ pub const MODE_XOR: u8 = 2;
 /// Largest admissible quantization-code magnitude (same cap as SZ).
 const QMAX: i64 = 1 << 30;
 
-/// Encode `frame` as an exact blob (mode 1): shuffled raw bits.
-pub fn encode_exact(frame: &[f32]) -> Vec<u8> {
-    let bytes: Vec<u8> = frame.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let mut blob = vec![MODE_EXACT];
-    blob.extend_from_slice(&cc_lossless::compress(&shuffle(&bytes, 4), Level::Default));
-    blob
+/// One keyframe chain's delta encoder: the reconstruction the next frame
+/// predicts from, and the buffers every frame of the chain reuses.
+/// Each blob is appended to the caller's chain buffer.
+#[derive(Default)]
+pub(crate) struct ChainEncoder {
+    /// The reconstruction a decoder will hold for the last frame.
+    prev: Vec<f32>,
+    /// Scratch for the frame being encoded; swapped into `prev` after.
+    next: Vec<f32>,
+    codes: Vec<u8>,
+    escapes: Vec<u8>,
+    body: Vec<u8>,
 }
 
-/// Encode `frame` against `prev` as a lossless XOR blob (mode 2).
-/// Reconstruction is bit-exact.
-pub fn encode_xor(frame: &[f32], prev: &[f32]) -> Vec<u8> {
-    debug_assert_eq!(frame.len(), prev.len());
-    let bytes: Vec<u8> = frame
-        .iter()
-        .zip(prev)
-        .flat_map(|(x, p)| (x.to_bits() ^ p.to_bits()).to_le_bytes())
-        .collect();
-    let mut blob = vec![MODE_XOR];
-    blob.extend_from_slice(&cc_lossless::compress(&shuffle(&bytes, 4), Level::Default));
-    blob
-}
+impl ChainEncoder {
+    /// Start a chain at its keyframe's reconstruction: what a reader
+    /// decodes, not the original.
+    pub(crate) fn new(key_recon: Vec<f32>) -> Self {
+        ChainEncoder { prev: key_recon, ..Self::default() }
+    }
 
-/// Encode `frame` against the reconstructed previous frame under an
-/// effective absolute bound `e` (mode 0). Returns the blob and the
-/// reconstruction the decoder will produce — the caller threads it into
-/// the next frame so quantization error never accumulates. Falls back to
-/// mode 1 when `e` is `None`.
-pub fn encode_bounded(frame: &[f32], prev: &[f32], e: Option<f64>) -> (Vec<u8>, Vec<f32>) {
-    debug_assert_eq!(frame.len(), prev.len());
-    let Some(e) = e else {
-        return (encode_exact(frame), frame.to_vec());
-    };
-    let twoe = 2.0 * e;
-    let mut codes = Vec::new();
-    let mut escapes: Vec<u8> = Vec::new();
-    let mut n_escapes = 0u32;
-    let mut recon = Vec::with_capacity(frame.len());
-    for (&x, &p) in frame.iter().zip(prev) {
-        let xd = x as f64;
-        let pd = p as f64;
-        let q = ((xd - pd) / twoe).round();
-        let mut escaped = true;
-        if x.is_finite() && q.is_finite() && (q.abs() as i64) <= QMAX {
-            let r = (pd + q * twoe) as f32;
-            if (r as f64 - xd).abs() <= e {
-                push_varint(&mut codes, zigzag(q as i64) + 1);
-                recon.push(r);
-                escaped = false;
+    /// Append a mode 1 or 2 blob, the deflated shuffle of the words in
+    /// `body`; both reconstruct `frame` exactly, so it is the next
+    /// frame's predictor.
+    fn push_words(&mut self, mode: u8, frame: &[f32], out: &mut Vec<u8>) {
+        out.push(mode);
+        out.extend_from_slice(&cc_lossless::compress(&shuffle(&self.body, 4), Level::Default));
+        self.prev.clear();
+        self.prev.extend_from_slice(frame);
+    }
+
+    /// Append `frame` as a lossless XOR blob (mode 2) against the
+    /// previous reconstruction. Reconstruction is bit-exact.
+    pub(crate) fn push_xor(&mut self, frame: &[f32], out: &mut Vec<u8>) {
+        debug_assert_eq!(frame.len(), self.prev.len());
+        self.body.clear();
+        self.body.extend(
+            frame
+                .iter()
+                .zip(&self.prev)
+                .flat_map(|(x, p)| (x.to_bits() ^ p.to_bits()).to_le_bytes()),
+        );
+        self.push_words(MODE_XOR, frame, out);
+    }
+
+    /// Append `frame` quantized against the previous reconstruction
+    /// under an effective absolute bound `e` (mode 0), and take the
+    /// reconstruction the decoder will produce as the next frame's
+    /// predictor, so quantization error never accumulates. Falls back to
+    /// mode 1, the raw bits, when `e` is `None`.
+    pub(crate) fn push_bounded(&mut self, frame: &[f32], e: Option<f64>, out: &mut Vec<u8>) {
+        debug_assert_eq!(frame.len(), self.prev.len());
+        let Some(e) = e else {
+            self.body.clear();
+            self.body.extend(frame.iter().flat_map(|v| v.to_le_bytes()));
+            return self.push_words(MODE_EXACT, frame, out);
+        };
+        let twoe = 2.0 * e;
+        let (codes, escapes, recon) = (&mut self.codes, &mut self.escapes, &mut self.next);
+        codes.clear();
+        escapes.clear();
+        recon.clear();
+        let mut n_escapes = 0u32;
+        for (&x, &p) in frame.iter().zip(&self.prev) {
+            let xd = x as f64;
+            let pd = p as f64;
+            let q = ((xd - pd) / twoe).round();
+            let mut escaped = true;
+            if x.is_finite() && q.is_finite() && (q.abs() as i64) <= QMAX {
+                let r = (pd + q * twoe) as f32;
+                if (r as f64 - xd).abs() <= e {
+                    push_varint(codes, zigzag(q as i64) + 1);
+                    recon.push(r);
+                    escaped = false;
+                }
+            }
+            if escaped {
+                codes.push(0);
+                escapes.extend_from_slice(&x.to_bits().to_le_bytes());
+                n_escapes += 1;
+                recon.push(x);
             }
         }
-        if escaped {
-            codes.push(0);
-            escapes.extend_from_slice(&x.to_bits().to_le_bytes());
-            n_escapes += 1;
-            recon.push(x);
-        }
+        let body = &mut self.body;
+        body.clear();
+        body.extend_from_slice(&n_escapes.to_le_bytes());
+        body.extend_from_slice(&(codes.len() as u32).to_le_bytes());
+        body.extend_from_slice(codes);
+        body.extend_from_slice(escapes);
+        out.push(MODE_QUANTIZED);
+        out.extend_from_slice(&e.to_bits().to_le_bytes());
+        out.extend_from_slice(&cc_lossless::compress(body, Level::Default));
+        std::mem::swap(&mut self.prev, &mut self.next);
     }
-    let mut body = Vec::with_capacity(8 + codes.len() + escapes.len());
-    body.extend_from_slice(&n_escapes.to_le_bytes());
-    body.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-    body.extend_from_slice(&codes);
-    body.extend_from_slice(&escapes);
-    let mut blob = vec![MODE_QUANTIZED];
-    blob.extend_from_slice(&e.to_bits().to_le_bytes());
-    blob.extend_from_slice(&cc_lossless::compress(&body, Level::Default));
-    (blob, recon)
 }
 
 /// Decode a delta blob of `n` elements against the reconstructed parent
@@ -220,11 +253,25 @@ mod tests {
             .collect()
     }
 
+    /// One frame's blob and reconstruction, encoded against `prev`.
+    fn bounded(cur: &[f32], prev: &[f32], e: Option<f64>) -> (Vec<u8>, Vec<f32>) {
+        let mut enc = ChainEncoder::new(prev.to_vec());
+        let mut blob = Vec::new();
+        enc.push_bounded(cur, e, &mut blob);
+        (blob, enc.prev)
+    }
+
+    fn xor(cur: &[f32], prev: &[f32]) -> Vec<u8> {
+        let mut blob = Vec::new();
+        ChainEncoder::new(prev.to_vec()).push_xor(cur, &mut blob);
+        blob
+    }
+
     #[test]
     fn bounded_roundtrip_meets_bound() {
         let prev = wave(4096, 0.0);
         let cur = wave(4096, 1.0);
-        let (blob, recon) = encode_bounded(&cur, &prev, Some(1e-3));
+        let (blob, recon) = bounded(&cur, &prev, Some(1e-3));
         let back = decode(&blob, &prev, true).unwrap();
         assert_eq!(back, recon, "decoder must mirror encoder reconstruction");
         for (x, r) in cur.iter().zip(&back) {
@@ -240,7 +287,7 @@ mod tests {
         cur[7] = f32::NAN;
         cur[11] = f32::INFINITY;
         cur[13] = 1e30; // enormous residual: token cap escape
-        let (blob, recon) = encode_bounded(&cur, &prev, Some(1e-3));
+        let (blob, recon) = bounded(&cur, &prev, Some(1e-3));
         let back = decode(&blob, &prev, true).unwrap();
         assert_eq!(
             back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -256,7 +303,7 @@ mod tests {
         let prev = wave(4096, 0.0);
         let mut cur = wave(4096, 1.0);
         cur[5] = f32::NAN;
-        let blob = encode_xor(&cur, &prev);
+        let blob = xor(&cur, &prev);
         let back = decode(&blob, &prev, false).unwrap();
         assert_eq!(
             back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -267,8 +314,10 @@ mod tests {
     #[test]
     fn exact_roundtrip() {
         let cur = wave(1024, 3.0);
-        let blob = encode_exact(&cur);
         let prev = vec![0.0f32; 1024];
+        let (blob, recon) = bounded(&cur, &prev, None);
+        assert_eq!(blob[0], MODE_EXACT, "no effective bound falls back to raw bits");
+        assert_eq!(recon, cur);
         let back = decode(&blob, &prev, true).unwrap();
         assert_eq!(back, cur);
     }
@@ -277,9 +326,9 @@ mod tests {
     fn mode_must_match_index_declaration() {
         let prev = wave(128, 0.0);
         let cur = wave(128, 1.0);
-        let (quant, _) = encode_bounded(&cur, &prev, Some(1e-2));
+        let (quant, _) = bounded(&cur, &prev, Some(1e-2));
         assert!(decode(&quant, &prev, false).is_err(), "xor var must reject quantized blob");
-        let xor = encode_xor(&cur, &prev);
+        let xor = xor(&cur, &prev);
         assert!(decode(&xor, &prev, true).is_err(), "bounded var must reject xor blob");
     }
 

@@ -80,7 +80,7 @@ pub const DEFAULT_KEYFRAME_EVERY: usize = 16;
 #[derive(Debug, Clone)]
 pub struct ArchiveOptions {
     /// Keyframe codec (any paper variant; encoded via the chunked
-    /// pipeline, so archive bytes are identical at any worker count).
+    /// pipeline, so archive bytes are identical at any pool width).
     pub variant: Variant,
     /// `Some(e)` selects bounded delta frames (`|x' − x| ≤ e` per
     /// element); `None` selects exact XOR delta frames.
@@ -88,21 +88,13 @@ pub struct ArchiveOptions {
     /// Distance between keyframes along the time axis (≥ 1; 1 disables
     /// delta frames entirely).
     pub keyframe_every: usize,
-    /// Worker count for the chunked keyframe pipeline. Output bytes do
-    /// not depend on it.
-    pub workers: usize,
 }
 
 impl ArchiveOptions {
-    /// Options with the default keyframe interval, no error bound
-    /// (lossless XOR deltas), and one worker.
+    /// Options with the default keyframe interval and no error bound
+    /// (lossless XOR deltas).
     pub fn new(variant: Variant) -> Self {
-        ArchiveOptions {
-            variant,
-            bound: None,
-            keyframe_every: DEFAULT_KEYFRAME_EVERY,
-            workers: 1,
-        }
+        ArchiveOptions { variant, bound: None, keyframe_every: DEFAULT_KEYFRAME_EVERY }
     }
 
     /// Select bounded delta frames.
@@ -114,12 +106,6 @@ impl ArchiveOptions {
     /// Override the keyframe interval.
     pub fn with_keyframe_every(mut self, every: usize) -> Self {
         self.keyframe_every = every;
-        self
-    }
-
-    /// Override the worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 }

@@ -1,14 +1,21 @@
 //! Archive construction.
 //!
-//! The writer appends one variable at a time. Keyframes go through the
-//! deterministic chunked pipeline (`compress_chunked`), so archive bytes
-//! are bit-identical at any worker count; delta frames are encoded
-//! sequentially against the reconstruction the decoder will see — the
-//! writer decodes its own keyframes to seed the chain, exactly mirroring
-//! the read path.
+//! The writer appends one variable at a time. A variable's frames split
+//! into keyframe chains — a keyframe plus the delta frames that predict
+//! from it — and no chain reads another chain's reconstruction, so the
+//! chains encode independently on the `cc-par` pool at
+//! `default_workers()` (so `--workers` and the nested-context guard
+//! apply). Each chain encodes its keyframe through the deterministic
+//! chunked pipeline, decodes it to seed its delta frames exactly as a
+//! reader will, and writes its frames into one byte buffer. The chains
+//! are appended in time order only after every chain has succeeded, so
+//! archive bytes are bit-identical at any pool width and a failed
+//! variable leaves the archive as it was. A variable with one chain runs
+//! it on the calling thread, which keeps the full pool width for its
+//! keyframe's chunked encode.
 
-use cc_codecs::chunked::{compress_chunked, decompress_chunked};
-use cc_codecs::{Layout, Variant};
+use cc_codecs::chunked::{compress_chunked, decompress_chunked, default_workers, par_map_with};
+use cc_codecs::{Codec, ErrorBound, Layout, Variant};
 
 use crate::index::{self, FrameEntry, FrameKind, VarEntry};
 use crate::{delta, ArchiveError, ArchiveOptions, DeltaMode, FOOTER_MAGIC, MAGIC};
@@ -89,36 +96,26 @@ impl ArchiveWriter {
         }
 
         let codec = opts.variant.codec();
-        let workers = opts.workers.max(1);
+        let every = opts.keyframe_every;
+        let keys: Vec<usize> = (0..frames.len()).step_by(every).collect();
+        let workers = default_workers();
+        let chains = par_map_with(workers, &keys, |&key| {
+            let chain = &frames[key..frames.len().min(key + every)];
+            encode_chain(codec.as_ref(), chain, layout, opts.bound, workers)
+        });
+        let chains = chains.into_iter().collect::<Result<Vec<_>, _>>()?;
+
         let mut entries = Vec::with_capacity(frames.len());
-        let mut keyframes = 0usize;
-        let mut prev_recon: Vec<f32> = Vec::new();
-        for (t, frame) in frames.iter().enumerate() {
-            let is_key = t % opts.keyframe_every == 0;
-            let (kind, parent, bytes, recon) = if is_key {
-                let stream = compress_chunked(codec.as_ref(), frame, layout, workers);
-                // Mirror the decoder: the delta chain predicts from what a
-                // reader will reconstruct, not from the original.
-                let recon = decompress_chunked(codec.as_ref(), &stream, layout, workers)?;
-                keyframes += 1;
-                (FrameKind::Key, t as u32, stream, recon)
-            } else {
-                match opts.bound {
-                    Some(b) => {
-                        let (blob, recon) =
-                            delta::encode_bounded(frame, &prev_recon, b.effective(frame));
-                        (FrameKind::Delta, (t - 1) as u32, blob, recon)
-                    }
-                    None => {
-                        let blob = delta::encode_xor(frame, &prev_recon);
-                        (FrameKind::Delta, (t - 1) as u32, blob, frame.clone())
-                    }
-                }
-            };
-            let offset = self.blob.len() as u64;
-            self.blob.extend_from_slice(&bytes);
-            entries.push(FrameEntry { kind, parent, offset, len: bytes.len() as u64 });
-            prev_recon = recon;
+        for (chain, key) in chains.into_iter().zip(&keys) {
+            let mut offset = self.blob.len() as u64;
+            for (i, &len) in chain.lens.iter().enumerate() {
+                let t = key + i;
+                let (kind, parent) =
+                    if i == 0 { (FrameKind::Key, t) } else { (FrameKind::Delta, t - 1) };
+                entries.push(FrameEntry { kind, parent: parent as u32, offset, len });
+                offset += len;
+            }
+            self.blob.extend_from_slice(&chain.bytes);
         }
 
         let delta_mode = match opts.bound {
@@ -129,7 +126,7 @@ impl ArchiveWriter {
         let bytes: u64 = entries.iter().map(|f| f.len).sum();
         let summary = VarSummary {
             frames: frames.len(),
-            keyframes,
+            keyframes: keys.len(),
             bytes,
             raw_bytes: (layout.len() * 4 * frames.len()) as u64,
         };
@@ -155,4 +152,40 @@ impl ArchiveWriter {
         out.extend_from_slice(FOOTER_MAGIC);
         out
     }
+}
+
+/// One keyframe chain, encoded: its frames' blobs back to back, and the
+/// length of each.
+struct Chain {
+    bytes: Vec<u8>,
+    lens: Vec<u64>,
+}
+
+/// Encode one keyframe chain: `frames[0]` is the keyframe, every later
+/// frame a delta from the one before it.
+fn encode_chain(
+    codec: &dyn Codec,
+    frames: &[Vec<f32>],
+    layout: Layout,
+    bound: Option<ErrorBound>,
+    workers: usize,
+) -> Result<Chain, ArchiveError> {
+    let _s = cc_obs::span("archive.chain");
+    let (key, deltas) = frames.split_first().expect("a chain starts with its keyframe");
+    let mut bytes = compress_chunked(codec, key, layout, workers);
+    // Mirror the decoder: the delta chain predicts from what a reader
+    // will reconstruct, not from the original.
+    let recon = decompress_chunked(codec, &bytes, layout, workers)?;
+    let mut lens = Vec::with_capacity(frames.len());
+    lens.push(bytes.len() as u64);
+    let mut enc = delta::ChainEncoder::new(recon);
+    for frame in deltas {
+        let start = bytes.len();
+        match bound {
+            Some(b) => enc.push_bounded(frame, b.effective(frame), &mut bytes),
+            None => enc.push_xor(frame, &mut bytes),
+        }
+        lens.push((bytes.len() - start) as u64);
+    }
+    Ok(Chain { bytes, lens })
 }

@@ -40,6 +40,11 @@ use crate::{
     check_layout_header, write_layout_header, Codec, CodecError, Layout, LAYOUT_HEADER_LEN,
 };
 
+/// The pool this module fans out on, for crates above it that run their
+/// own parallel regions beside the chunked pipeline (the archive writer
+/// fans out over keyframe chains) without a direct `cc-par` dependency.
+pub use cc_par::{default_workers, par_map_with};
+
 /// Target number of f32 elements per chunk (256 KiB of raw data). Chosen
 /// so a ≥1M-point field yields enough blocks to keep 8+ workers busy
 /// while each block stays large enough for the codecs' internal windows

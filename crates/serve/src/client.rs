@@ -397,7 +397,7 @@ impl Client {
         name: &str,
         bytes: &[u8],
     ) -> Result<ArchivePutResponse, ClientError> {
-        let req = ArchivePutRequest { name: name.to_string(), bytes: bytes.to_vec() };
+        let req = ArchivePutRequest { name: name.to_string(), bytes };
         let payload = req.encode().map_err(ClientError::Wire)?;
         let payload = self.call(Opcode::ArchivePut, &payload)?;
         ArchivePutResponse::decode(&payload)

@@ -1249,11 +1249,11 @@ fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCo
     let req = ArchivePutRequest::decode(payload)
         .map_err(|_| (ErrCode::BadPayload, "malformed ArchivePut payload".into()))?;
     let path = archive_path(shared, &req.name)?;
-    let reader = ArchiveReader::open(req.bytes.as_slice())
+    let reader = ArchiveReader::open(req.bytes)
         .map_err(|e| (ErrCode::BadPayload, format!("invalid archive: {e}")))?;
     let vars = reader.index().vars.len() as u32;
     let frames: u32 = reader.index().vars.iter().map(|v| v.frames.len() as u32).sum();
-    let stored = replace_file(&path, &req.bytes);
+    let stored = replace_file(&path, req.bytes);
     shared.archives.evict(&req.name);
     stored.map_err(|e| (ErrCode::Internal, format!("archive store failed: {e}")))?;
     Ok(ArchivePutResponse { bytes: req.bytes.len() as u64, vars, frames }.encode())

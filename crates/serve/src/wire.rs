@@ -807,35 +807,38 @@ pub fn archive_name_ok(name: &str) -> bool {
 }
 
 /// `ArchivePut` request: archive name + complete `cc-arch/1` bytes. The
-/// server validates the container before storing it.
+/// server validates the container before storing it. The bytes are
+/// borrowed: from the caller's archive on the client, from the frame
+/// payload on the server, so a put copies the archive only into its
+/// request payload and its frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchivePutRequest {
+pub struct ArchivePutRequest<'a> {
     /// Archive name ([`archive_name_ok`]); the server stores the file as
     /// `<name>.ccarch`.
     pub name: String,
     /// The full archive byte stream.
-    pub bytes: Vec<u8>,
+    pub bytes: &'a [u8],
 }
 
-impl ArchivePutRequest {
+impl<'a> ArchivePutRequest<'a> {
     /// Serialize to a request payload.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut out = Vec::with_capacity(1 + self.name.len() + self.bytes.len());
         put_name(&mut out, &self.name)?;
-        out.extend_from_slice(&self.bytes);
+        out.extend_from_slice(self.bytes);
         Ok(out)
     }
 
     /// Parse from an untrusted payload. The name must satisfy
-    /// [`archive_name_ok`]; the archive bytes themselves are validated
-    /// by the handler via `ArchiveReader::open`.
-    pub fn decode(payload: &[u8]) -> Result<ArchivePutRequest, PayloadError> {
+    /// [`archive_name_ok`]; the archive bytes, borrowed from `payload`,
+    /// are validated by the handler via `ArchiveReader::open`.
+    pub fn decode(payload: &'a [u8]) -> Result<ArchivePutRequest<'a>, PayloadError> {
         let mut c = Cursor::new(payload);
         let name = c.name()?;
         if !archive_name_ok(&name) {
             return Err(PayloadError);
         }
-        Ok(ArchivePutRequest { name, bytes: c.rest().to_vec() })
+        Ok(ArchivePutRequest { name, bytes: c.rest() })
     }
 }
 
